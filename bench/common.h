@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/sweep.h"
 #include "src/baselines/alpaserve.h"
 #include "src/baselines/muxserve.h"
 #include "src/baselines/serverless_llm.h"
@@ -438,6 +439,56 @@ inline void ReportCell(BenchReporter& reporter, const std::string& prefix,
   reporter.Metric(prefix + "goodput_per_sec", cell.goodput_per_sec);
   reporter.Metric(prefix + "mean_latency_s", cell.mean_latency_s);
   reporter.Metric(prefix + "p99_latency_s", cell.p99);
+}
+
+// -- Storm-bench helpers (fig15/16/17) ---------------------------------------------------
+
+inline const char* PolicyName(FaultRecoveryPolicy policy) {
+  return policy == FaultRecoveryPolicy::kReform ? "reform" : "teardown";
+}
+
+// Deterministic impact-maximising victim picks, evaluated at fault time so they see
+// the actual placement: argmax of serving-reserved bytes with an id tie-break.
+inline RackId BusiestRack(const Cluster& cluster) {
+  std::vector<Bytes> reserved(static_cast<size_t>(cluster.rack_count()), 0);
+  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
+    RackId rack = cluster.RackOf(cluster.ServerOf(g));
+    reserved[static_cast<size_t>(rack)] += cluster.gpu(g).reserved_memory();
+  }
+  RackId best = 0;
+  for (RackId r = 1; r < cluster.rack_count(); ++r) {
+    if (reserved[static_cast<size_t>(r)] > reserved[static_cast<size_t>(best)]) {
+      best = r;
+    }
+  }
+  return best;
+}
+
+inline ThermalZoneId BusiestThermalZone(const Cluster& cluster) {
+  std::vector<Bytes> reserved(static_cast<size_t>(cluster.thermal_zone_count()), 0);
+  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
+    ThermalZoneId z = cluster.ThermalZoneOf(cluster.ServerOf(g));
+    reserved[static_cast<size_t>(z)] += cluster.gpu(g).reserved_memory();
+  }
+  ThermalZoneId best = 0;
+  for (ThermalZoneId z = 1; z < cluster.thermal_zone_count(); ++z) {
+    if (reserved[static_cast<size_t>(z)] > reserved[static_cast<size_t>(best)]) {
+      best = z;
+    }
+  }
+  return best;
+}
+
+// The first value reported under `name` by any arm, in arm order; 0 when none did.
+inline double Metric(const std::vector<ArmResult>& results, const std::string& name) {
+  for (const ArmResult& result : results) {
+    for (const auto& [key, value] : result.metrics) {
+      if (key == name) {
+        return value;
+      }
+    }
+  }
+  return 0.0;
 }
 
 }  // namespace bench

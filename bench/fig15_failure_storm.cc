@@ -83,10 +83,6 @@ const char* StormName(Storm storm) {
   return "?";
 }
 
-const char* PolicyName(FaultRecoveryPolicy policy) {
-  return policy == FaultRecoveryPolicy::kReform ? "reform" : "teardown";
-}
-
 // Deterministic impact-maximising victim picks, evaluated at fault time so they see
 // the actual placement: argmax of serving-reserved bytes with an id tie-break.
 ServerId BusiestServer(const Cluster& cluster) {
@@ -100,21 +96,6 @@ ServerId BusiestServer(const Cluster& cluster) {
     if (reserved > best_reserved) {
       best_reserved = reserved;
       best = s;
-    }
-  }
-  return best;
-}
-
-RackId BusiestRack(const Cluster& cluster) {
-  std::vector<Bytes> reserved(static_cast<size_t>(cluster.rack_count()), 0);
-  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
-    RackId rack = cluster.RackOf(cluster.ServerOf(g));
-    reserved[static_cast<size_t>(rack)] += cluster.gpu(g).reserved_memory();
-  }
-  RackId best = 0;
-  for (RackId r = 1; r < cluster.rack_count(); ++r) {
-    if (reserved[static_cast<size_t>(r)] > reserved[static_cast<size_t>(best)]) {
-      best = r;
     }
   }
   return best;
@@ -230,17 +211,6 @@ ArmResult RunStormArm(const StormParams& params, Storm storm, FaultRecoveryPolic
           ? 0
           : 1;
   return result;
-}
-
-double Metric(const std::vector<ArmResult>& results, const std::string& name) {
-  for (const ArmResult& result : results) {
-    for (const auto& [key, value] : result.metrics) {
-      if (key == name) {
-        return value;
-      }
-    }
-  }
-  return 0.0;
 }
 
 int Run(BenchReporter& reporter) {

@@ -84,10 +84,6 @@ const char* StormName(Storm storm) {
   return storm == Storm::kPowerOutage ? "power_outage" : "thermal_cascade";
 }
 
-const char* PolicyName(FaultRecoveryPolicy policy) {
-  return policy == FaultRecoveryPolicy::kReform ? "reform" : "teardown";
-}
-
 // Deterministic impact-maximising victim picks, evaluated at fault time so they see
 // the actual placement: argmax of serving-reserved bytes with an id tie-break.
 PowerDomainId BusiestPowerDomain(const Cluster& cluster) {
@@ -100,21 +96,6 @@ PowerDomainId BusiestPowerDomain(const Cluster& cluster) {
   for (PowerDomainId d = 1; d < cluster.power_domain_count(); ++d) {
     if (reserved[static_cast<size_t>(d)] > reserved[static_cast<size_t>(best)]) {
       best = d;
-    }
-  }
-  return best;
-}
-
-ThermalZoneId BusiestThermalZone(const Cluster& cluster) {
-  std::vector<Bytes> reserved(static_cast<size_t>(cluster.thermal_zone_count()), 0);
-  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
-    ThermalZoneId z = cluster.ThermalZoneOf(cluster.ServerOf(g));
-    reserved[static_cast<size_t>(z)] += cluster.gpu(g).reserved_memory();
-  }
-  ThermalZoneId best = 0;
-  for (ThermalZoneId z = 1; z < cluster.thermal_zone_count(); ++z) {
-    if (reserved[static_cast<size_t>(z)] > reserved[static_cast<size_t>(best)]) {
-      best = z;
     }
   }
   return best;
@@ -240,17 +221,6 @@ ArmResult RunStormArm(const StormParams& params, Storm storm, double spread_weig
           ? 0
           : 1;
   return result;
-}
-
-double Metric(const std::vector<ArmResult>& results, const std::string& name) {
-  for (const ArmResult& result : results) {
-    for (const auto& [key, value] : result.metrics) {
-      if (key == name) {
-        return value;
-      }
-    }
-  }
-  return 0.0;
 }
 
 int Run(BenchReporter& reporter) {

@@ -117,38 +117,6 @@ constexpr double kThrottleMultiplier = 0.12;
 constexpr double kLinkFactor = 0.2;
 constexpr TimeNs kDetectionBound = 20 * kSecond;
 
-// Deterministic impact-maximising victim picks, evaluated at fault time so they see
-// the actual placement: argmax of serving-reserved bytes with an id tie-break.
-ThermalZoneId BusiestThermalZone(const Cluster& cluster) {
-  std::vector<Bytes> reserved(static_cast<size_t>(cluster.thermal_zone_count()), 0);
-  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
-    ThermalZoneId z = cluster.ThermalZoneOf(cluster.ServerOf(g));
-    reserved[static_cast<size_t>(z)] += cluster.gpu(g).reserved_memory();
-  }
-  ThermalZoneId best = 0;
-  for (ThermalZoneId z = 1; z < cluster.thermal_zone_count(); ++z) {
-    if (reserved[static_cast<size_t>(z)] > reserved[static_cast<size_t>(best)]) {
-      best = z;
-    }
-  }
-  return best;
-}
-
-RackId BusiestRack(const Cluster& cluster) {
-  std::vector<Bytes> reserved(static_cast<size_t>(cluster.rack_count()), 0);
-  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
-    RackId r = cluster.RackOf(cluster.ServerOf(g));
-    reserved[static_cast<size_t>(r)] += cluster.gpu(g).reserved_memory();
-  }
-  RackId best = 0;
-  for (RackId r = 1; r < cluster.rack_count(); ++r) {
-    if (reserved[static_cast<size_t>(r)] > reserved[static_cast<size_t>(best)]) {
-      best = r;
-    }
-  }
-  return best;
-}
-
 HealthConfig BenchHealthConfig(bool mitigate) {
   HealthConfig h;
   h.enabled = true;
@@ -306,17 +274,6 @@ ArmResult RunFailSlowArm(const FailSlowParams& params, Scenario scenario, bool m
   // policy-comparative is gated in the aggregate below.
   result.exit_code = (lost == 0 && stuck_live == 0) ? 0 : 1;
   return result;
-}
-
-double Metric(const std::vector<ArmResult>& results, const std::string& name) {
-  for (const ArmResult& result : results) {
-    for (const auto& [key, value] : result.metrics) {
-      if (key == name) {
-        return value;
-      }
-    }
-  }
-  return 0.0;
 }
 
 int Run(BenchReporter& reporter) {

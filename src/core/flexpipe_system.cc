@@ -481,12 +481,12 @@ void FlexPipeSystem::RetireOne(ModelContext& model) {
   }
   router_.DeregisterInstance(victim->id());
   victim->StartDraining([this, victim] {
-    CacheInstanceParams(victim);
+    CacheStageParams(victim);
     ReleaseInstance(victim);
   });
 }
 
-void FlexPipeSystem::CacheInstanceParams(PipelineInstance* instance) {
+void FlexPipeSystem::CacheStageParams(PipelineInstance* instance) {
   const ModelContext& model = ContextFor(instance->model_id());
   if (!model.config.enable_host_cache) {
     return;
@@ -494,16 +494,21 @@ void FlexPipeSystem::CacheInstanceParams(PipelineInstance* instance) {
   TimeNs now = ctx_.sim->now();
   const PipelinePlan& plan = instance->plan();
   for (int s = 0; s < plan.num_stages(); ++s) {
+    GpuId g = instance->gpus()[static_cast<size_t>(s)];
+    if (!ctx_.cluster->GpuUsable(g)) {
+      continue;
+    }
     const StagePlan& sp = plan.stages[static_cast<size_t>(s)];
-    ServerId server = ctx_.cluster->ServerOf(instance->gpus()[static_cast<size_t>(s)]);
-    host_cache_.Put(server, model.config.model_id, sp.fine_begin, sp.fine_end,
-                    sp.param_bytes, now);
+    host_cache_.Put(ctx_.cluster->ServerOf(g), model.config.model_id, sp.fine_begin,
+                    sp.fine_end, sp.param_bytes, now);
   }
 }
 
 void FlexPipeSystem::BeginRefactor(ModelContext& model,
                                    std::vector<PipelineInstance*> old_instances,
                                    int new_stages, double cv) {
+  // Never called from a session's on_done, so no finished session is still on the stack.
+  std::erase_if(sessions_, [](const auto& session) { return session->finished(); });
   if (old_instances.empty()) {
     return;
   }
@@ -574,17 +579,22 @@ void FlexPipeSystem::OnMigrationDone(PipelineInstance* old_instance,
   total_pause_ += result.pause_duration;
   kv_migrated_bytes_ += result.snapshot_bytes + result.delta_bytes;
   ++refactor_count_;
+  EndMigration(model, old_instance->id(), /*target_id=*/-1);
+  CacheStageParams(old_instance);
+  ReleaseInstance(old_instance);
+  router_.Pump();
+}
+
+void FlexPipeSystem::EndMigration(ModelContext& model, int source_id, int target_id) {
   --model.refactors_in_progress;
-  migration_pinned_.erase(old_instance->id());
+  migration_pinned_.erase(source_id);
+  migration_pinned_.erase(target_id);
   if (model.refactors_in_progress == 0) {
     // Targets unpin once this model's wave completes; other models' pins stay.
     for (auto it = migration_pinned_.begin(); it != migration_pinned_.end();) {
       it = it->second == model.config.model_id ? migration_pinned_.erase(it) : std::next(it);
     }
   }
-  CacheInstanceParams(old_instance);
-  ReleaseInstance(old_instance);
-  router_.Pump();
 }
 
 const KvValidityMask* FlexPipeSystem::recovery_mask_for(RequestId id) const {
@@ -598,53 +608,6 @@ void FlexPipeSystem::OnRequestComplete(Request* request) {
   }
 }
 
-void FlexPipeSystem::CacheSurvivingStageParams(PipelineInstance* instance) {
-  const ModelContext& model = ContextFor(instance->model_id());
-  if (!model.config.enable_host_cache) {
-    return;
-  }
-  TimeNs now = ctx_.sim->now();
-  const PipelinePlan& plan = instance->plan();
-  for (int s = 0; s < plan.num_stages(); ++s) {
-    GpuId g = instance->gpus()[static_cast<size_t>(s)];
-    if (!ctx_.cluster->GpuUsable(g)) {
-      continue;
-    }
-    const StagePlan& sp = plan.stages[static_cast<size_t>(s)];
-    host_cache_.Put(ctx_.cluster->ServerOf(g), model.config.model_id, sp.fine_begin,
-                    sp.fine_end, sp.param_bytes, now);
-  }
-}
-
-void FlexPipeSystem::TrackRecoveryMask(Request* request) {
-  int context = request->context_tokens();
-  if (context <= 0) {
-    return;
-  }
-  // A fresh mask is all-invalid — exactly the failure semantics: the dead instance
-  // held the only KV copy, so every context token must be recomputed (Eq. 10 with an
-  // empty valid set).
-  kv_invalidated_tokens_ += context;
-  recovery_masks_[request->spec.id] = std::make_unique<KvValidityMask>(context);
-}
-
-void FlexPipeSystem::RecoverDisplacedRequest(Request* request, bool reform) {
-  if (request->phase != RequestPhase::kDecoding) {
-    return;  // never prefilled; requeues as-is
-  }
-  if (reform) {
-    request->recompute_tokens = request->tokens_generated;
-    ++failure_stats_.requests_resumed;
-    TrackRecoveryMask(request);
-  } else {
-    request->tokens_generated = 0;
-    request->first_token_time = -1;
-    request->recompute_tokens = 0;
-    ++failure_stats_.requests_restarted;
-  }
-  request->phase = RequestPhase::kQueued;
-}
-
 void FlexPipeSystem::OnGpusLost(const std::vector<GpuId>& lost) {
   std::vector<PipelineInstance*> victims = UnreleasedInstancesOn(lost);
   if (victims.empty()) {
@@ -653,23 +616,18 @@ void FlexPipeSystem::OnGpusLost(const std::vector<GpuId>& lost) {
   auto is_victim = [&victims](const PipelineInstance* inst) {
     return std::find(victims.begin(), victims.end(), inst) != victims.end();
   };
-  std::vector<int> affected;  // model ids, first-seen order (deterministic)
-  auto note_model = [&affected](int model_id) {
-    if (std::find(affected.begin(), affected.end(), model_id) == affected.end()) {
-      affected.push_back(model_id);
-    }
-  };
-  for (PipelineInstance* v : victims) {
-    note_model(v->model_id());
-  }
 
   // Teardown-policy models raze their whole fleet, not just the dead instances: the
   // PipeBoost-style baseline re-places the deployment from scratch.
-  for (int model_id : affected) {
-    ModelContext& model = ContextFor(model_id);
-    if (model.config.fault_recovery != FaultRecoveryPolicy::kTeardown) {
-      continue;
+  std::vector<int> teardown;  // model ids, first-seen order (deterministic)
+  for (const PipelineInstance* v : victims) {
+    int model_id = v->model_id();
+    if (ContextFor(model_id).config.fault_recovery == FaultRecoveryPolicy::kTeardown &&
+        std::find(teardown.begin(), teardown.end(), model_id) == teardown.end()) {
+      teardown.push_back(model_id);
     }
+  }
+  for (int model_id : teardown) {
     for (InstanceRecord& rec : records_) {
       if (!rec.released && rec.model_id == model_id && !is_victim(rec.instance.get())) {
         victims.push_back(rec.instance.get());
@@ -697,96 +655,86 @@ void FlexPipeSystem::OnGpusLost(const std::vector<GpuId>& lost) {
       }
       std::vector<Request*> reclaimed = session->Abort();
       limbo.insert(limbo.end(), reclaimed.begin(), reclaimed.end());
-      ModelContext& model = ContextFor(src->model_id());
-      --model.refactors_in_progress;
-      migration_pinned_.erase(src->id());
-      migration_pinned_.erase(dst->id());
-      if (model.refactors_in_progress == 0) {
-        for (auto it = migration_pinned_.begin(); it != migration_pinned_.end();) {
-          it = it->second == model.config.model_id ? migration_pinned_.erase(it)
-                                                  : std::next(it);
+      EndMigration(ContextFor(src->model_id()), src->id(), dst->id());
+      for (PipelineInstance* endpoint : {src, dst}) {
+        if (!is_victim(endpoint)) {
+          victims.push_back(endpoint);
         }
-      }
-      if (!is_victim(src)) {
-        victims.push_back(src);
-        note_model(src->model_id());
-      }
-      if (!is_victim(dst)) {
-        victims.push_back(dst);
-        note_model(dst->model_id());
       }
       changed = true;
     }
   }
 
-  // Fail the victims. Under kReform the stages on still-usable GPUs seed the host cache
-  // first, so the replacements warm-start from the same servers; decoding requests keep
-  // their progress and pay a recompute prefill instead of restarting.
-  std::vector<Request*> displaced;
-  for (PipelineInstance* victim : victims) {
-    ModelContext& model = ContextFor(victim->model_id());
-    bool reform = model.config.fault_recovery == FaultRecoveryPolicy::kReform;
-    if (reform) {
-      CacheSurvivingStageParams(victim);
-    }
-    size_t before = displaced.size();
-    FailInstance(victim, /*restart_decoding=*/!reform, &displaced);
-    if (reform) {
-      for (size_t i = before; i < displaced.size(); ++i) {
-        if (displaced[i]->recompute_tokens > 0) {
-          TrackRecoveryMask(displaced[i]);
-        }
-      }
-    }
-  }
-  for (Request* r : limbo) {
-    ModelContext& model = ContextFor(r->model_id());
-    RecoverDisplacedRequest(r, model.config.fault_recovery == FaultRecoveryPolicy::kReform);
-    displaced.push_back(r);
-  }
-
   // A server whose every GPU is dead took its host RAM — and its cached parameter
   // images — with it. Partitioned GPUs keep their memory; the cache survives a heal.
-  std::vector<ServerId> dead_servers;
+  // Displace never caches onto these servers: none of their GPUs is usable.
   for (GpuId g : lost) {
-    if (!ctx_.cluster->GpuFailed(g)) {
-      continue;
-    }
     ServerId s = ctx_.cluster->ServerOf(g);
-    if (std::find(dead_servers.begin(), dead_servers.end(), s) != dead_servers.end()) {
-      continue;
+    const std::vector<GpuId>& gpus = ctx_.cluster->server(s).gpus;
+    if (std::all_of(gpus.begin(), gpus.end(),
+                    [this](GpuId sg) { return ctx_.cluster->GpuFailed(sg); })) {
+      host_cache_.DropServer(s);  // idempotent when `lost` repeats a server
     }
-    bool all_dead = true;
-    for (GpuId sg : ctx_.cluster->server(s).gpus) {
-      all_dead = all_dead && ctx_.cluster->GpuFailed(sg);
-    }
-    if (all_dead) {
-      dead_servers.push_back(s);
-    }
-  }
-  for (ServerId s : dead_servers) {
-    host_cache_.DropServer(s);
   }
 
+  Displace(std::move(victims), std::move(limbo), /*evacuation=*/false);
+}
+
+void FlexPipeSystem::Displace(std::vector<PipelineInstance*> victims,
+                              std::vector<Request*> limbo, bool evacuation) {
+  if (victims.empty()) {
+    return;
+  }
+  auto reforms = [this, evacuation](int model_id) {
+    return evacuation ||
+           ContextFor(model_id).config.fault_recovery == FaultRecoveryPolicy::kReform;
+  };
+  // Reforming victims seed the host cache first, so the replacements warm-start from
+  // the same servers.
+  std::vector<int> affected;  // model ids, first-seen order (deterministic)
+  std::vector<Request*> displaced;
+  for (PipelineInstance* victim : victims) {
+    int model_id = victim->model_id();
+    if (std::find(affected.begin(), affected.end(), model_id) == affected.end()) {
+      affected.push_back(model_id);
+    }
+    bool reform = reforms(model_id);
+    if (reform) {
+      CacheStageParams(victim);
+    }
+    FailInstance(victim, /*restart_decoding=*/!reform, &displaced);
+  }
+  for (Request* r : limbo) {
+    ApplyDecodePolicy(r, /*restart_decoding=*/!reforms(r->model_id()));
+    displaced.push_back(r);
+  }
+  // A fresh mask is all-invalid — exactly the displacement semantics: the failed
+  // instance held the only KV copy, so every context token must be recomputed (Eq. 10
+  // with an empty valid set).
+  for (const Request* r : displaced) {
+    int context = r->context_tokens();
+    if (r->recompute_tokens > 0 && context > 0 && reforms(r->model_id())) {
+      kv_invalidated_tokens_ += context;
+      recovery_masks_[r->spec.id] = std::make_unique<KvValidityMask>(context);
+    }
+  }
   RequeueDisplaced(std::move(displaced));
 
   // Replace what died immediately rather than waiting for the next control tick.
   // Reform relaunches one-for-one at the fast-loading fine granularity (Fig. 7's burst
-  // path — recovery is the ultimate burst); teardown cold-starts its fleet at the
-  // coarse initial granularity.
+  // path — recovery is the ultimate burst; for an evacuation the placer's exclusion
+  // mask steers the replacement onto healthy capacity); teardown cold-starts its fleet
+  // at the coarse initial granularity.
   for (int model_id : affected) {
     ModelContext& model = ContextFor(model_id);
     int torn_down = 0;
-    for (PipelineInstance* v : victims) {
-      if (v->model_id() == model_id) {
-        ++torn_down;
-      }
+    for (const PipelineInstance* v : victims) {
+      torn_down += v->model_id() == model_id ? 1 : 0;
     }
-    double cv = ObservedCv(model);
-    bool reform = model.config.fault_recovery == FaultRecoveryPolicy::kReform;
+    bool reform = reforms(model_id);
     int stages = reform ? model.fast_scale_stages : model.config.initial_stages;
-    int launches =
-        reform ? torn_down : std::max(MinInstances(model, stages), torn_down);
+    int launches = reform ? torn_down : std::max(MinInstances(model, stages), torn_down);
+    double cv = ObservedCv(model);
     for (int i = 0; i < launches; ++i) {
       LaunchWithRetry(model, stages, cv, /*remaining_attempts=*/10, /*attempt=*/0);
     }
@@ -866,58 +814,25 @@ void FlexPipeSystem::MitigateStragglers(const std::vector<ServerId>& flagged) {
 }
 
 void FlexPipeSystem::ProcessEvacuations() {
-  int budget = health_monitor_->config().max_evacuations_per_tick;
-  std::vector<Request*> displaced;
-  std::vector<int> affected;   // model ids, first-seen order (deterministic)
-  std::map<int, int> torn_down;  // model id -> evacuated count this tick
+  const int budget = health_monitor_->config().max_evacuations_per_tick;
+  std::vector<PipelineInstance*> victims;
   size_t taken = 0;
-  while (taken < evacuation_queue_.size() && budget > 0) {
+  while (taken < evacuation_queue_.size() && static_cast<int>(victims.size()) < budget) {
     int id = evacuation_queue_[taken];
     ++taken;
     InstanceRecord* rec = FindRecord(id);
     // The queue outlives its entries' relevance: an instance may have died, been
     // retired, or become a migration endpoint since it was flagged.
-    if (rec == nullptr || rec->released || migration_pinned_.count(id) > 0) {
-      continue;
+    if (rec != nullptr && !rec->released && migration_pinned_.count(id) == 0) {
+      victims.push_back(rec->instance.get());
     }
-    PipelineInstance* victim = rec->instance.get();
-    // Proactive reform: unlike a fail-stop loss, every GPU is still alive, so *all*
-    // stages seed the host cache and the evacuation is a planned migration in all
-    // but name — decode progress survives through Eq. 10 recompute masks.
-    if (std::find(affected.begin(), affected.end(), victim->model_id()) ==
-        affected.end()) {
-      affected.push_back(victim->model_id());
-    }
-    ++torn_down[victim->model_id()];
-    CacheInstanceParams(victim);
-    size_t before = displaced.size();
-    FailInstance(victim, /*restart_decoding=*/false, &displaced);
-    for (size_t i = before; i < displaced.size(); ++i) {
-      if (displaced[i]->recompute_tokens > 0) {
-        TrackRecoveryMask(displaced[i]);
-      }
-    }
-    ++health_migrations_;
-    --budget;
   }
   evacuation_queue_.erase(evacuation_queue_.begin(),
                           evacuation_queue_.begin() + static_cast<long>(taken));
-  if (affected.empty()) {
-    return;
-  }
-  RequeueDisplaced(std::move(displaced));
-  for (int model_id : affected) {
-    ModelContext& model = ContextFor(model_id);
-    double cv = ObservedCv(model);
-    // One-for-one at the fast-loading granularity, same as reform recovery: the
-    // placer's exclusion mask steers the replacements onto healthy capacity.
-    for (int i = 0; i < torn_down[model_id]; ++i) {
-      LaunchWithRetry(model, model.fast_scale_stages, cv, /*remaining_attempts=*/10,
-                      /*attempt=*/0);
-    }
-    UpdateBrownout(model);
-  }
-  router_.Pump();
+  // Proactive reform: every GPU is still alive, so all stages seed the host cache and
+  // decode progress survives through Eq. 10 recompute masks.
+  health_migrations_ += static_cast<int64_t>(victims.size());
+  Displace(std::move(victims), /*limbo=*/{}, /*evacuation=*/true);
 }
 
 void FlexPipeSystem::TickModel(ModelContext& model) {

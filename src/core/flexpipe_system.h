@@ -18,6 +18,10 @@
 //     contention penalties and Eq. 13 affinity bonuses; released parameters persist in
 //     the host cache so later scale-ups warm-start.
 //
+// Fail-stop recovery (OnGpusLost) and health evacuation (ProcessEvacuations) pick their
+// victims and share one displacement path (Displace); refactoring is the live KV
+// migration of MigrationSession instead.
+//
 // Ablation switches (enable_refactoring / enable_hrg / enable_affinity /
 // enable_host_cache) exist for the ablation benches.
 #ifndef FLEXPIPE_SRC_CORE_FLEXPIPE_SYSTEM_H_
@@ -133,9 +137,11 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
   void Start() override;
   void OnArrival(Request* request) override;
   void Finish() override;
-  // Recovery per the affected model's FaultRecoveryPolicy: aborts migrations touching
-  // dead instances (reclaiming their limbo requests exactly once), applies the decode
-  // policy, drops host-cache state on fully-dead servers, and relaunches replacements.
+  // Fail-stop recovery per the affected model's FaultRecoveryPolicy. Picks the victims
+  // (instances on lost GPUs; under kTeardown the model's whole fleet), aborts
+  // migrations touching them (their surviving endpoints become victims and their limbo
+  // requests are reclaimed), drops the host cache of fully-dead servers, and hands
+  // everything to Displace.
   void OnGpusLost(const std::vector<GpuId>& lost) override;
   // Base invariants plus HRG stream tallies and host-cache vs cluster accounting.
   void CollectAuditViolations(std::vector<std::string>* out) const override;
@@ -243,24 +249,29 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
   // the degradation itself costs, so victims keep (slowly) serving until their
   // replacement slot comes up.
   void ProcessEvacuations();
+  // The one displacement path: fails `victims`, applies the decode policy to their
+  // requests and to `limbo` (reclaimed from aborted migrations), requeues all of them
+  // exactly once, and relaunches per affected model. A model reforms under kReform or
+  // on `evacuation`: usable stages seed the host cache, decode progress survives behind
+  // Eq. 10 recovery masks, and replacements launch one-for-one at fast_scale_stages.
+  // Otherwise max(MinInstances, torn down) cold-start at initial_stages.
+  void Displace(std::vector<PipelineInstance*> victims, std::vector<Request*> limbo,
+                bool evacuation);
   void RetireOne(ModelContext& model);
   void BeginRefactor(ModelContext& model, std::vector<PipelineInstance*> old_instances,
                      int new_stages, double cv);
   void OnMigrationDone(PipelineInstance* old_instance, const MigrationResult& result);
-  void CacheInstanceParams(PipelineInstance* instance);
+  // Ends one session of `model`'s wave: unpins its endpoints, and the whole wave once no
+  // session is left. A finished session passes target_id -1: its target stays pinned
+  // while the wave's other sessions may still feed it.
+  void EndMigration(ModelContext& model, int source_id, int target_id);
+  // Seeds the host cache with the parameters of every stage on a usable GPU. A dead
+  // stage's server may be gone, and caching from it would warm-start from memory that
+  // no longer exists.
+  void CacheStageParams(PipelineInstance* instance);
   std::vector<bool> WarmFlags(const ModelContext& model, const PipelinePlan& plan,
                               const std::vector<GpuId>& gpus) const;
   void OnRequestComplete(Request* request) override;
-
-  // -- Fault recovery helpers ------------------------------------------------------------
-  // Like CacheInstanceParams, but only for stages standing on still-usable GPUs: a dead
-  // stage's server may be gone, and seeding the cache from it would warm-start from
-  // memory that no longer exists.
-  void CacheSurvivingStageParams(PipelineInstance* instance);
-  // Applies the per-request decode policy to a request reclaimed from an aborted
-  // migration (FailInstance never sees it) and records the recovery mask under kReform.
-  void RecoverDisplacedRequest(Request* request, bool reform);
-  void TrackRecoveryMask(Request* request);
 
   // Stable addresses: controller callbacks capture raw ModelContext pointers.
   std::vector<std::unique_ptr<ModelContext>> contexts_;
@@ -274,6 +285,8 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
   TimeNs last_pause_ = 0;
   TimeNs total_pause_ = 0;
   Bytes kv_migrated_bytes_ = 0;
+  // Finished sessions are erased at the next BeginRefactor. Aborted ones stay: a
+  // pending snapshot or delta transfer callback may still hold their `this`.
   std::vector<std::unique_ptr<MigrationSession>> sessions_;
   // Instances pinned by an in-flight migration (sources and targets), keyed by
   // instance id -> model id: exempt from scale-in until the model's wave completes.

@@ -243,25 +243,29 @@ void ServingSystemBase::FailInstance(PipelineInstance* instance, bool restart_de
   if (whole_pipeline) {
     ++failure_stats_.whole_pipeline_losses;
   }
-  std::vector<Request*> extracted = instance->FailNow();
-  for (Request* r : extracted) {
-    if (r->phase == RequestPhase::kDecoding) {
-      if (restart_decoding) {
-        r->tokens_generated = 0;
-        r->first_token_time = -1;
-        r->recompute_tokens = 0;
-        ++failure_stats_.requests_restarted;
-      } else {
-        // Token ids live on the host; only the KV died. The next prompt pass rebuilds
-        // it (prompt + recompute tokens) and decode resumes where it left off.
-        r->recompute_tokens = r->tokens_generated;
-        ++failure_stats_.requests_resumed;
-      }
-      r->phase = RequestPhase::kQueued;
-    }
+  for (Request* r : instance->FailNow()) {
+    ApplyDecodePolicy(r, restart_decoding);
     displaced->push_back(r);
   }
   ReleaseInstance(instance);
+}
+
+void ServingSystemBase::ApplyDecodePolicy(Request* request, bool restart_decoding) {
+  if (request->phase != RequestPhase::kDecoding) {
+    return;
+  }
+  if (restart_decoding) {
+    request->tokens_generated = 0;
+    request->first_token_time = -1;
+    request->recompute_tokens = 0;
+    ++failure_stats_.requests_restarted;
+  } else {
+    // Token ids live on the host; only the KV died. The next prompt pass rebuilds it
+    // (prompt + recompute tokens) and decode resumes where it left off.
+    request->recompute_tokens = request->tokens_generated;
+    ++failure_stats_.requests_resumed;
+  }
+  request->phase = RequestPhase::kQueued;
 }
 
 void ServingSystemBase::RequeueDisplaced(std::vector<Request*> displaced) {

@@ -71,7 +71,8 @@ class FLEXPIPE_THREAD_HOSTILE ServingSystemBase {
   // instance standing on a lost GPU is failed, its decoding requests restart from
   // token zero, and everything displaced is requeued at the front of the router —
   // exactly once, so submitted == completed + outstanding still balances. FlexPipe
-  // overrides this with migration-based re-formation.
+  // overrides this and routes the loss through its one displacement path, which also
+  // serves health evacuations.
   virtual void OnGpusLost(const std::vector<GpuId>& lost);
 
   // Appends one line per violated cross-module invariant (router bookkeeping,
@@ -170,12 +171,17 @@ class FLEXPIPE_THREAD_HOSTILE ServingSystemBase {
   // Unreleased instances with at least one stage on a lost GPU, in record order.
   std::vector<PipelineInstance*> UnreleasedInstancesOn(const std::vector<GpuId>& lost);
 
-  // Fails one instance abruptly: FailNow, apply the per-request decode policy
-  // (`restart_decoding` true drops generated tokens; false keeps them and charges a
-  // recompute prefill), release the instance, and append the displaced requests to
-  // `*displaced` (caller requeues them in one batch).
+  // Fails one instance abruptly: FailNow, apply the decode policy to every extracted
+  // request, release the instance, and append the displaced requests to `*displaced`
+  // (caller requeues them in one batch).
   void FailInstance(PipelineInstance* instance, bool restart_decoding,
                     std::vector<Request*>* displaced);
+
+  // The per-request decode policy for a displaced request whose KV died. A decoding
+  // request either drops its generated tokens (`restart_decoding`) or keeps them and
+  // charges a recompute prefill; either way it returns to kQueued. Requests that never
+  // finished a prompt pass are left as they are.
+  void ApplyDecodePolicy(Request* request, bool restart_decoding);
 
   // Requeues displaced requests at the front of the router and bumps the counters.
   void RequeueDisplaced(std::vector<Request*> displaced);

@@ -417,8 +417,19 @@ struct StormOutcome {
   std::vector<TimeNs> loss_times;
   std::vector<CompletionSample> completions;
   int64_t kv_invalidated_tokens = 0;
+  // Submitted requests still holding a recovery mask after the drain (must be zero:
+  // a mask is dropped when its request completes).
+  int leaked_masks = 0;
   bool recovered = false;
 };
+
+int LeakedRecoveryMasks(const FlexPipeSystem& system, const std::vector<RequestSpec>& specs) {
+  int leaked = 0;
+  for (const RequestSpec& spec : specs) {
+    leaked += system.recovery_mask_for(spec.id) != nullptr ? 1 : 0;
+  }
+  return leaked;
+}
 
 // Runs the small FlexPipe deployment under `plan` (armed only when `arm` is set, so the
 // same helper produces the no-injector control run) and returns the full trace.
@@ -453,6 +464,7 @@ StormOutcome RunStorm(FaultRecoveryPolicy policy, bool arm, const FaultPlan& pla
   out.loss_times = injector.loss_times();
   out.completions = system.metrics().completions();
   out.kv_invalidated_tokens = system.kv_invalidated_tokens();
+  out.leaked_masks = LeakedRecoveryMasks(system, specs);
   out.recovered = AnalyzeFailureRecovery(out.completions, out.loss_times,
                                          report.ran_until)
                       .recovered;
@@ -525,6 +537,7 @@ TEST(FaultStormTest, MidDecodeLossRequeuesExactlyOnceUnderReform) {
   if (out.stats.requests_resumed > 0) {
     EXPECT_GT(out.kv_invalidated_tokens, 0);
   }
+  EXPECT_EQ(out.leaked_masks, 0);
   EXPECT_TRUE(out.recovered);
 }
 
@@ -871,6 +884,13 @@ TEST(FaultStormTest, ThrottleWaveStormDrainsAndReplaysBitIdentically) {
     out.completions = system.metrics().completions();
     EXPECT_GT(system.health_monitor()->flags_raised(), 0);
     EXPECT_EQ(out.submitted, out.completed);  // gray faults lose nothing
+    // Evacuations go through the reform path: a resumed request is charged an Eq. 10
+    // mask (and only resumed requests are: nothing here dies fail-stop), and every mask
+    // is dropped once its request completes. At this seed the one evacuation hits an
+    // idle instance, so both counts are zero.
+    EXPECT_GT(system.health_migrations(), 0);
+    EXPECT_EQ(out.stats.requests_resumed > 0, system.kv_invalidated_tokens() > 0);
+    EXPECT_EQ(LeakedRecoveryMasks(system, specs), 0);
     return out;
   };
 

@@ -2,6 +2,7 @@
 // extracted-request accounting invariants (§6.3, Fig. 6(b)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -218,6 +219,97 @@ TEST_F(MigrationTest, DeltaMaskStaysInvalidUntilTransferCompletes) {
     EXPECT_EQ(mask->invalid_in(0, std::min(r.context_tokens(), mask->capacity())), 0);
   }
   EXPECT_GT(result.pause_duration, 0);
+}
+
+TEST_F(MigrationTest, AbortBeforeStartReclaimsNothing) {
+  auto from = MakeActiveInstance(1, 2, 0);
+  auto to = MakeActiveInstance(2, 2, 8);
+  std::vector<Request> reqs;
+  reqs.reserve(3);
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(MakeRequest(static_cast<RequestId>(i + 1), 64, 50));
+    ASSERT_TRUE(from->CanAdmit(reqs.back()));
+    from->Admit(&reqs.back());
+  }
+
+  bool done = false;
+  MigrationSession session(&sim_, &transfer_, from.get(), to.get(), &router_,
+                           [&](PipelineInstance*, const MigrationResult&) { done = true; });
+  // Nothing was extracted yet: the requests still live on the source.
+  EXPECT_TRUE(session.Abort().empty());
+  EXPECT_TRUE(session.aborted());
+  EXPECT_EQ(from->inflight() + from->pending(), 3);
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(done);
+}
+
+TEST_F(MigrationTest, AbortDuringDeltaTransferReclaimsLimboExactlyOnce) {
+  auto from = MakeActiveInstance(1, 4, 0);
+  auto to = MakeActiveInstance(2, 4, 16);
+  // Same rich KV state as DeltaMaskStaysInvalidUntilTransferCompletes: tokens generated
+  // during the snapshot make the delta transfer long enough to abort into.
+  std::vector<Request> reqs;
+  reqs.reserve(8);
+  for (int i = 0; i < 8; ++i) {
+    reqs.push_back(MakeRequest(static_cast<RequestId>(i + 1), 2000, 2000));
+  }
+  for (auto& r : reqs) {
+    ASSERT_TRUE(from->CanAdmit(r));
+    from->Admit(&r);
+  }
+  sim_.RunUntil(sim_.now() + 5 * kSecond);
+
+  bool done = false;
+  MigrationSession session(&sim_, &transfer_, from.get(), to.get(), &router_,
+                           [&](PipelineInstance*, const MigrationResult&) { done = true; });
+  session.Start();
+  // Step until the source has halted and handed its requests over. The session is not
+  // finished then only because the delta transfer is still in flight.
+  while (!done && !(from->state() == InstanceState::kHalting && from->inflight() == 0)) {
+    sim_.RunUntil(sim_.now() + kMillisecond / 10);
+  }
+  ASSERT_FALSE(done) << "no delta transfer to abort into; test is vacuous";
+
+  std::vector<Request*> limbo = session.Abort();
+  std::vector<RequestId> ids;
+  for (const Request* r : limbo) {
+    ids.push_back(r->spec.id);
+    EXPECT_EQ(r->phase, RequestPhase::kDecoding);  // the caller applies its own policy
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<RequestId>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_TRUE(session.aborted());
+  EXPECT_TRUE(session.Abort().empty());
+
+  // The late delta callback must not resume, requeue or report anything.
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(done);
+  EXPECT_FALSE(session.finished());
+  EXPECT_EQ(to->inflight() + to->pending(), 0);
+  EXPECT_EQ(router_.queue_length(), 0);
+}
+
+TEST_F(MigrationTest, AbortAfterFinishReclaimsNothing) {
+  auto from = MakeActiveInstance(1, 2, 0);
+  auto to = MakeActiveInstance(2, 2, 8);
+  std::vector<Request> reqs;
+  reqs.reserve(3);
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(MakeRequest(static_cast<RequestId>(i + 1), 64, 4000));
+    ASSERT_TRUE(from->CanAdmit(reqs.back()));
+    from->Admit(&reqs.back());
+  }
+  sim_.RunUntil(sim_.now() + 3 * kSecond);
+
+  bool done = false;
+  MigrationSession session(&sim_, &transfer_, from.get(), to.get(), &router_,
+                           [&](PipelineInstance*, const MigrationResult&) { done = true; });
+  session.Start();
+  sim_.RunUntil(sim_.now() + kMinute);
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(session.finished());
+  EXPECT_TRUE(session.Abort().empty());
+  EXPECT_FALSE(session.aborted());
 }
 
 }  // namespace
