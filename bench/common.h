@@ -11,12 +11,13 @@
 #define FLEXPIPE_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench/sweep.h"
 #include "src/baselines/alpaserve.h"
 #include "src/baselines/muxserve.h"
 #include "src/baselines/serverless_llm.h"
@@ -57,6 +58,14 @@ inline ClusterConfig StressCiClusterConfig() {
   c.racks = 8;
   return c;
 }
+
+// True when FLEXPIPE_STRESS_SCALE=ci selects the reduced shape of the cluster-scale
+// benches (stress_scale, stress_endurance and the fig15/16/17 storms).
+inline bool StressScaleIsCi() {
+  const char* scale = std::getenv("FLEXPIPE_STRESS_SCALE");
+  return scale != nullptr && std::strcmp(scale, "ci") == 0;
+}
+
 inline constexpr TimeNs kDefaultSlo = 10 * kSecond;
 inline constexpr TimeNs kDefaultDuration = 5 * kMinute;
 inline constexpr TimeNs kDrainGrace = 60 * kSecond;
@@ -112,15 +121,6 @@ inline WorkloadGenerator::Config DefaultWorkloadConfig(int model_index = 0) {
   config.lengths.output_sigma = 0.7;
   config.lengths.output_max = 256;
   return config;
-}
-
-// Standard CV-parameterised workload at the paper's baseline QPS.
-inline std::vector<RequestSpec> CvWorkload(double cv, double qps = kBaselineQps,
-                                           TimeNs duration = kDefaultDuration,
-                                           uint64_t seed = kSeed, int model_index = 0) {
-  WorkloadGenerator gen(DefaultWorkloadConfig(model_index));
-  Rng rng(Rng(seed).Child("workload").seed());
-  return gen.GenerateWithCv(rng, qps, cv, duration);
 }
 
 // Builds the system under test. `expected_cv` parameterises the static systems' offline
@@ -190,24 +190,34 @@ inline std::unique_ptr<ServingSystemBase> MakeSystem(SystemKind kind, Experiment
 // with multi-model deployments: FlexPipe, AlpaServe, ServerlessLLM.
 // ---------------------------------------------------------------------------
 
+// FlexPipe over every model in `env`: each deployment copies `base` (the experiment's
+// own knobs: recovery policy, placement, brownout, health) and fills in its model,
+// coarsest starting granularity, peak rate, SLO and the bench reclamation window.
+// The shared placer and health monitor take the first deployment's knobs.
+inline std::unique_ptr<FlexPipeSystem> MakeSharedFlexPipe(
+    ExperimentEnv& env, const std::vector<double>& peak_rps_by_model,
+    const FlexPipeConfig& base = FlexPipeConfig{}) {
+  std::vector<FlexPipeSystem::ModelDeployment> deployments;
+  for (size_t i = 0; i < peak_rps_by_model.size(); ++i) {
+    FlexPipeSystem::ModelDeployment d;
+    d.ladder = &env.ladder(static_cast<int>(i));
+    d.config = base;
+    d.config.model_id = static_cast<int>(i);
+    d.config.initial_stages = d.ladder->coarsest();
+    d.config.target_peak_rps = peak_rps_by_model[i];
+    d.config.default_slo = kDefaultSlo;
+    d.config.scaling.reclaim_idle = 45 * kSecond;
+    deployments.push_back(d);
+  }
+  return std::make_unique<FlexPipeSystem>(env.Context(), std::move(deployments));
+}
+
 inline std::unique_ptr<ServingSystemBase> MakeSharedClusterSystem(
     SystemKind kind, ExperimentEnv& env, const std::vector<double>& peak_rps_by_model) {
   const int n = static_cast<int>(peak_rps_by_model.size());
   switch (kind) {
-    case SystemKind::kFlexPipe: {
-      std::vector<FlexPipeSystem::ModelDeployment> deployments;
-      for (int i = 0; i < n; ++i) {
-        FlexPipeSystem::ModelDeployment d;
-        d.ladder = &env.ladder(i);
-        d.config.model_id = i;
-        d.config.initial_stages = d.ladder->coarsest();
-        d.config.target_peak_rps = peak_rps_by_model[static_cast<size_t>(i)];
-        d.config.default_slo = kDefaultSlo;
-        d.config.scaling.reclaim_idle = 45 * kSecond;
-        deployments.push_back(d);
-      }
-      return std::make_unique<FlexPipeSystem>(env.Context(), std::move(deployments));
-    }
+    case SystemKind::kFlexPipe:
+      return MakeSharedFlexPipe(env, peak_rps_by_model);
     case SystemKind::kAlpaServe: {
       std::vector<AlpaServeSystem::ModelDeployment> deployments;
       for (int i = 0; i < n; ++i) {
@@ -244,23 +254,6 @@ inline std::unique_ptr<ServingSystemBase> MakeSharedClusterSystem(
   }
 }
 
-// Interleaved per-model traces: one CV-parameterised stream per model, merged into a
-// single time-ordered arrival sequence (requests carry their model_index).
-inline std::vector<RequestSpec> MultiModelWorkload(const std::vector<ModelSpec>& models,
-                                                   const std::vector<double>& qps_by_model,
-                                                   double cv, TimeNs duration,
-                                                   uint64_t seed = kSeed) {
-  std::vector<std::vector<RequestSpec>> parts;
-  for (size_t i = 0; i < models.size(); ++i) {
-    WorkloadGenerator::Config wconfig = DefaultWorkloadConfig(static_cast<int>(i));
-    wconfig.lengths.prompt_max = models[i].context_window;
-    WorkloadGenerator gen(wconfig);
-    Rng rng(Rng(seed).Child(models[i].name).seed());
-    parts.push_back(gen.GenerateWithCv(rng, qps_by_model[i], cv, duration));
-  }
-  return MergeWorkloads(std::move(parts));
-}
-
 struct CellResult {
   int64_t submitted = 0;
   int64_t completed = 0;
@@ -284,7 +277,7 @@ struct CellResult {
   int final_stages = 0;
 };
 
-// Shared cell extraction for the materialized and streaming runners.
+// Extracts a cell's metrics from a finished run.
 inline CellResult FillCell(ServingSystemBase& system, int64_t submitted, TimeNs ran_until,
                            TimeNs measured_span) {
   CellResult cell;
@@ -318,27 +311,14 @@ inline CellResult FillCell(ServingSystemBase& system, int64_t submitted, TimeNs 
   return cell;
 }
 
-// Runs `kind` on a fresh environment against `specs`; returns the metrics cell.
-inline CellResult RunCell(SystemKind kind, const std::vector<RequestSpec>& specs,
-                          std::vector<ModelSpec> models = {Opt66B()}, uint64_t seed = kSeed,
-                          double peak_rps = kBaselineQps) {
-  ExperimentEnv env(DefaultEnvConfig(std::move(models), seed));
-  std::unique_ptr<ServingSystemBase> system = MakeSystem(kind, env, 0, peak_rps);
-  std::vector<Request> storage;
-  RunReport report = RunWorkload(env, *system, specs, storage,
-                                 RunOptions{.drain_grace = kDrainGrace, .warmup = kWarmup});
-  return FillCell(*system, report.submitted, report.ran_until, report.measured_span());
-}
-
 // ---------------------------------------------------------------------------
-// Streaming workloads: benches draw requests lazily through StreamingWorkloadSource
-// instead of materializing whole traces and pre-scheduling one engine event per
-// request. Arrival sequences are bit-identical to the materialized helpers for the
-// same seed (pinned by trace_test); token lengths come from a dedicated child RNG
-// stream, so workload memory is O(1) per stream regardless of duration.
+// Workloads: benches draw requests lazily through StreamingWorkloadSource, so
+// workload memory is O(1) per stream regardless of duration. Arrival sequences are
+// bit-identical to WorkloadGenerator's for the same seed (pinned by trace_test);
+// token lengths come from a dedicated child RNG stream.
 // ---------------------------------------------------------------------------
 
-// Streaming analogue of CvWorkload: same arrival seed chain, lazily drawn.
+// Standard CV-parameterised workload at the paper's baseline QPS.
 inline StreamingWorkloadSource CvWorkloadStream(double cv, double qps = kBaselineQps,
                                                 TimeNs duration = kDefaultDuration,
                                                 uint64_t seed = kSeed,
@@ -348,8 +328,9 @@ inline StreamingWorkloadSource CvWorkloadStream(double cv, double qps = kBaselin
                                          Rng(Rng(seed).Child("workload").seed()));
 }
 
-// Streaming analogue of MultiModelWorkload: one lazy stream per model, merged in
-// arrival order with dense ids.
+// Interleaved per-model traces: one CV-parameterised stream per model, merged into
+// a single time-ordered arrival sequence with dense ids (requests carry their
+// model_index).
 inline MergedRequestStream MultiModelWorkloadStream(
     const std::vector<ModelSpec>& models, const std::vector<double>& qps_by_model,
     double cv, TimeNs duration, uint64_t seed = kSeed) {
@@ -363,8 +344,9 @@ inline MergedRequestStream MultiModelWorkloadStream(
   return MergedRequestStream(std::move(parts));
 }
 
-// Streaming RunCell: `stream` is consumed, so callers build a fresh (identically
-// seeded) stream per system.
+// Runs `kind` on a fresh environment against `stream`; returns the metrics cell.
+// `stream` is consumed, so callers build a fresh (identically seeded) stream per
+// system.
 inline CellResult RunCellStreaming(SystemKind kind, RequestStream& stream,
                                    std::vector<ModelSpec> models = {Opt66B()},
                                    uint64_t seed = kSeed,
@@ -439,56 +421,6 @@ inline void ReportCell(BenchReporter& reporter, const std::string& prefix,
   reporter.Metric(prefix + "goodput_per_sec", cell.goodput_per_sec);
   reporter.Metric(prefix + "mean_latency_s", cell.mean_latency_s);
   reporter.Metric(prefix + "p99_latency_s", cell.p99);
-}
-
-// -- Storm-bench helpers (fig15/16/17) ---------------------------------------------------
-
-inline const char* PolicyName(FaultRecoveryPolicy policy) {
-  return policy == FaultRecoveryPolicy::kReform ? "reform" : "teardown";
-}
-
-// Deterministic impact-maximising victim picks, evaluated at fault time so they see
-// the actual placement: argmax of serving-reserved bytes with an id tie-break.
-inline RackId BusiestRack(const Cluster& cluster) {
-  std::vector<Bytes> reserved(static_cast<size_t>(cluster.rack_count()), 0);
-  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
-    RackId rack = cluster.RackOf(cluster.ServerOf(g));
-    reserved[static_cast<size_t>(rack)] += cluster.gpu(g).reserved_memory();
-  }
-  RackId best = 0;
-  for (RackId r = 1; r < cluster.rack_count(); ++r) {
-    if (reserved[static_cast<size_t>(r)] > reserved[static_cast<size_t>(best)]) {
-      best = r;
-    }
-  }
-  return best;
-}
-
-inline ThermalZoneId BusiestThermalZone(const Cluster& cluster) {
-  std::vector<Bytes> reserved(static_cast<size_t>(cluster.thermal_zone_count()), 0);
-  for (GpuId g = 0; g < cluster.gpu_count(); ++g) {
-    ThermalZoneId z = cluster.ThermalZoneOf(cluster.ServerOf(g));
-    reserved[static_cast<size_t>(z)] += cluster.gpu(g).reserved_memory();
-  }
-  ThermalZoneId best = 0;
-  for (ThermalZoneId z = 1; z < cluster.thermal_zone_count(); ++z) {
-    if (reserved[static_cast<size_t>(z)] > reserved[static_cast<size_t>(best)]) {
-      best = z;
-    }
-  }
-  return best;
-}
-
-// The first value reported under `name` by any arm, in arm order; 0 when none did.
-inline double Metric(const std::vector<ArmResult>& results, const std::string& name) {
-  for (const ArmResult& result : results) {
-    for (const auto& [key, value] : result.metrics) {
-      if (key == name) {
-        return value;
-      }
-    }
-  }
-  return 0.0;
 }
 
 }  // namespace bench

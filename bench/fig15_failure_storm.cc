@@ -9,21 +9,17 @@
 // down, progress dropped, cold restart) — six independent universes on the parallel
 // sweep driver.
 //
-// Each arm chains two phases through one WorkloadHarness (pre-storm steady state, then
-// the storm window plus drain) sharing one request pool, so a request displaced by a
-// fault in phase 2 recycles through the same accounting it was acquired under. The
-// contract checked here and by CI: zero requests lost (submitted == completed after the
-// drain, nothing stuck live), every reform storm recovers, and reform beats teardown on
-// both time-to-recover and goodput-dip area. Deterministic at a fixed seed: fault
-// victims are either seeded draws or argmax-by-reservation picks with id tie-breaks.
-#include <cinttypes>
+// Each arm runs on the shared storm harness (bench/storm.h). The contract checked here
+// and by CI: zero requests lost (submitted == completed after the drain, nothing stuck
+// live), every reform storm recovers, and reform beats teardown on both
+// time-to-recover and goodput-dip area. Deterministic at a fixed seed: fault victims
+// are either seeded draws or argmax-by-reservation picks with id tie-breaks.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/storm.h"
 #include "bench/sweep.h"
 #include "src/sim/faults.h"
 
@@ -33,41 +29,11 @@ using namespace flexpipe;
 using namespace flexpipe::bench;
 
 struct StormParams {
-  const char* scale_name;
-  ClusterConfig cluster;
-  std::vector<double> qps;   // per EvaluationModels() entry
-  TimeNs pre_duration;       // phase 1: steady state before the storm
-  TimeNs storm_duration;     // phase 2: faults land and recovery is measured
-  TimeNs fault_offset;       // first fault, relative to phase-2 start
-  TimeNs churn_spacing;      // server-death spacing in the fleet-churn storm
+  StormShape shape;
+  TimeNs churn_spacing;  // server-death spacing in the fleet-churn storm
 };
 
-StormParams FullScale() {
-  StormParams p;
-  p.scale_name = "full";
-  p.cluster = StressClusterConfig();  // 1024 GPUs / 448 servers (bench/common.h)
-  // ~65% of the stress_scale saturation mix: recovery needs headroom — a fleet serving
-  // at its limit cannot absorb a 10% capacity loss no matter the recovery policy, and
-  // the interesting signal is how fast each policy climbs back, not queueing collapse.
-  p.qps = {200.0, 200.0, 130.0, 90.0};
-  p.pre_duration = 60 * kSecond;
-  p.storm_duration = 180 * kSecond;
-  p.fault_offset = 15 * kSecond;
-  p.churn_spacing = 2 * kSecond;
-  return p;
-}
-
-StormParams CiScale() {
-  StormParams p;
-  p.scale_name = "ci";
-  p.cluster = StressCiClusterConfig();  // 128 GPUs / 56 servers
-  p.qps = {40.0, 40.0, 26.0, 17.0};
-  p.pre_duration = 30 * kSecond;
-  p.storm_duration = 90 * kSecond;
-  p.fault_offset = 10 * kSecond;
-  p.churn_spacing = 1 * kSecond;
-  return p;
-}
+StormParams ParamsFor(bool ci) { return {StormShapeFor(ci), (ci ? 1 : 2) * kSecond}; }
 
 enum class Storm { kSingleServer, kRackPartition, kFleetChurn };
 
@@ -101,127 +67,69 @@ ServerId BusiestServer(const Cluster& cluster) {
   return best;
 }
 
-std::unique_ptr<FlexPipeSystem> MakeFlexPipe(ExperimentEnv& env,
-                                             const std::vector<double>& qps,
-                                             FaultRecoveryPolicy policy) {
-  std::vector<FlexPipeSystem::ModelDeployment> deployments;
-  for (size_t i = 0; i < qps.size(); ++i) {
-    FlexPipeSystem::ModelDeployment d;
-    d.ladder = &env.ladder(static_cast<int>(i));
-    d.config.model_id = static_cast<int>(i);
-    d.config.initial_stages = d.ladder->coarsest();
-    d.config.target_peak_rps = qps[i];
-    d.config.default_slo = kDefaultSlo;
-    d.config.scaling.reclaim_idle = 45 * kSecond;
-    d.config.fault_recovery = policy;
-    deployments.push_back(d);
-  }
-  return std::make_unique<FlexPipeSystem>(env.Context(), std::move(deployments));
-}
-
-// One (storm, policy) universe: fresh env, chained pre-storm + storm phases through a
-// single WorkloadHarness, recovery analysed from the completion series and the
-// injector's loss times. Never prints (sweep-arm contract).
+// One (storm, policy) universe; recovery is analysed from the completion series and
+// the injector's loss times. Never prints (sweep-arm contract).
 ArmResult RunStormArm(const StormParams& params, Storm storm, FaultRecoveryPolicy policy) {
-  const std::vector<ModelSpec> models = EvaluationModels();
-  ExperimentEnvConfig env_config = DefaultEnvConfig(models);
-  env_config.cluster = params.cluster;
-  ExperimentEnv env(env_config);
-  std::unique_ptr<FlexPipeSystem> system = MakeFlexPipe(env, params.qps, policy);
-
-  FaultInjector injector(&env.sim(), &env.cluster());
-  FlexPipeSystem* sys = system.get();
-  injector.AddGpuLossListener(
-      [sys](const std::vector<GpuId>& lost) { sys->OnGpusLost(lost); });
-
-  const TimeNs storm_start = kWarmup + params.pre_duration;
-  const TimeNs fault_time = storm_start + params.fault_offset;
+  FlexPipeConfig config;
+  config.fault_recovery = policy;
+  StormArm arm(params.shape, config);
   switch (storm) {
     case Storm::kSingleServer:
-      // Victim chosen against the live placement just before impact.
-      env.sim().ScheduleAt(fault_time - kMillisecond, [&env, &injector, fault_time] {
-        injector.Arm(FaultPlan::SingleServer(fault_time, BusiestServer(env.cluster())));
+      arm.ArmBeforeImpact([](const Cluster& cluster, TimeNs fault_time) {
+        return FaultPlan::SingleServer(fault_time, BusiestServer(cluster));
       });
       break;
     case Storm::kRackPartition:
-      env.sim().ScheduleAt(fault_time - kMillisecond, [&env, &injector, fault_time] {
-        injector.Arm(FaultPlan::RackPartition(fault_time, BusiestRack(env.cluster()),
-                                              /*heal_after=*/20 * kSecond));
+      arm.ArmBeforeImpact([](const Cluster& cluster, TimeNs fault_time) {
+        return FaultPlan::RackPartition(fault_time, BusiestRack(cluster),
+                                        /*heal_after=*/20 * kSecond);
       });
       break;
     case Storm::kFleetChurn:
-      injector.Arm(FaultPlan::FleetChurn(fault_time, params.churn_spacing,
-                                         /*fraction=*/0.10, env.cluster(), kSeed));
+      arm.injector().Arm(FaultPlan::FleetChurn(params.shape.fault_time(), params.churn_spacing,
+                                               /*fraction=*/0.10, arm.env().cluster(), kSeed));
       break;
   }
+  arm.Run();
 
-  WorkloadHarness harness(env, {system.get()});
-  // Phase 1: steady state. The horizon stops at the phase boundary with requests still
-  // in flight — they carry over into the storm phase through the shared pool.
-  MergedRequestStream pre_stream =
-      MultiModelWorkloadStream(models, params.qps, /*cv=*/2.0, params.pre_duration, kSeed);
-  harness.RunPhase(pre_stream, RunOptions{.horizon = storm_start, .warmup = kWarmup});
-
-  // Phase 2: the storm window plus drain, same pool, arrivals shifted past phase 1.
-  MergedRequestStream storm_stream = MultiModelWorkloadStream(
-      models, params.qps, /*cv=*/2.0, params.storm_duration, kSeed + 1);
-  // Generous drain: the teardown baseline cold-reloads whole fleets and must still
-  // clear its backlog, or stuck-live requests would masquerade as losses.
-  StreamingRunReport report = harness.RunPhase(
-      storm_stream,
-      RunOptions{.drain_grace = 900 * kSecond, .warmup = storm_start});
-  harness.Finish();
-
-  const MetricsCollector& m = system->metrics();
-  const int64_t submitted = harness.total_submitted();
-  const int64_t completed = m.completed();
-  const int64_t stuck_live = static_cast<int64_t>(harness.pool().live());
-  // Accounting loss: a request neither completed nor still alive vanished somewhere
-  // (double-release, dropped requeue). Stuck-live means the drain never finished it.
-  const int64_t lost = submitted - completed - stuck_live;
-  const ServingSystemBase::FailureStats& stats = system->failure_stats();
-
-  FailureRecoveryReport recovery =
-      AnalyzeFailureRecovery(m.completions(), injector.loss_times(), report.ran_until);
-
+  const StormLedger& ledger = arm.ledger();
+  const FailureRecoveryReport& recovery = arm.recovery();
+  const ServingSystemBase::FailureStats& stats = arm.system().failure_stats();
   const std::string prefix = std::string(PolicyName(policy)) + "_" + StormName(storm) + "_";
   ArmResult result;
   result.metrics = {
-      {prefix + "submitted", static_cast<double>(submitted)},
-      {prefix + "completed", static_cast<double>(completed)},
-      {prefix + "requests_lost", static_cast<double>(lost)},
-      {prefix + "stuck_live", static_cast<double>(stuck_live)},
+      {prefix + "submitted", static_cast<double>(ledger.submitted)},
+      {prefix + "completed", static_cast<double>(ledger.completed)},
+      {prefix + "requests_lost", static_cast<double>(ledger.lost)},
+      {prefix + "stuck_live", static_cast<double>(ledger.stuck)},
       {prefix + "instances_lost", static_cast<double>(stats.instances_lost)},
-      {prefix + "gpus_lost", static_cast<double>(injector.gpus_lost())},
+      {prefix + "gpus_lost", static_cast<double>(arm.injector().gpus_lost())},
       {prefix + "requeued", static_cast<double>(stats.requests_requeued)},
       {prefix + "resumed", static_cast<double>(stats.requests_resumed)},
       {prefix + "restarted", static_cast<double>(stats.requests_restarted)},
-      {prefix + "kv_invalidated_tokens", static_cast<double>(sys->kv_invalidated_tokens())},
+      {prefix + "kv_invalidated_tokens",
+       static_cast<double>(arm.system().kv_invalidated_tokens())},
       {prefix + "pre_fault_rps", recovery.pre_fault_goodput_rps},
       {prefix + "time_to_recover_s", recovery.time_to_recover_s},
       {prefix + "dip_depth_rps", recovery.dip_depth_rps},
       {prefix + "dip_area_rps_s", recovery.dip_area_rps_s},
       {prefix + "recovered", recovery.recovered ? 1.0 : 0.0},
-      {prefix + "goodput_rate", m.GoodputRate(submitted)},
+      {prefix + "goodput_rate", arm.system().metrics().GoodputRate(ledger.submitted)},
   };
   // Zero-loss is the hard contract: every fault-displaced request completes exactly
   // once. An instance must actually have died, or the storm tested nothing.
   result.exit_code =
-      (lost == 0 && stuck_live == 0 && stats.instances_lost > 0 && recovery.fault_count > 0)
-          ? 0
-          : 1;
+      (ledger.clean() && stats.instances_lost > 0 && recovery.fault_count > 0) ? 0 : 1;
   return result;
 }
 
 int Run(BenchReporter& reporter) {
-  const char* scale_env = std::getenv("FLEXPIPE_STRESS_SCALE");
-  const bool ci = scale_env != nullptr && std::strcmp(scale_env, "ci") == 0;
-  const StormParams params = ci ? CiScale() : FullScale();
+  const StormParams params = ParamsFor(StressScaleIsCi());
 
   PrintHeader("Fig. 15: failure storms and inflight pipeline recovery",
               "fault injection on the production deployment (robustness extension)");
   std::printf("scale=%s: %d racks, 10 Gbps cross-rack, 4-model mix, CV=2 arrivals\n\n",
-              params.scale_name, params.cluster.racks);
+              params.shape.scale_name, params.shape.cluster.racks);
 
   const std::vector<Storm> storms = {Storm::kSingleServer, Storm::kRackPartition,
                                      Storm::kFleetChurn};

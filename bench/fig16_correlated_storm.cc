@@ -15,16 +15,15 @@
 // zero-loss drain contract holds with brownout in the accounting (submitted ==
 // completed + shed after the drain, nothing stuck live). Deterministic at a fixed
 // seed: victims are argmax-by-reserved-bytes picks with id tie-breaks evaluated just
-// before impact, and the cascade schedule derives from a dedicated seeded stream.
+// before impact, and the cascade schedule derives from a dedicated seeded stream. Each
+// arm runs on the shared storm harness (bench/storm.h).
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/storm.h"
 #include "bench/sweep.h"
 #include "src/sim/faults.h"
 
@@ -34,47 +33,20 @@ using namespace flexpipe;
 using namespace flexpipe::bench;
 
 struct StormParams {
-  const char* scale_name;
-  ClusterConfig cluster;
-  std::vector<double> qps;   // per EvaluationModels() entry
-  TimeNs pre_duration;       // phase 1: steady state before the storm
-  TimeNs storm_duration;     // phase 2: faults land and recovery is measured
-  TimeNs fault_offset;       // first fault, relative to phase-2 start
-  TimeNs outage_heal;        // power-domain outage: first breaker reset
-  TimeNs outage_stagger;     // per-rack reset spacing
-  TimeNs cascade_quench;     // thermal cascade: cooling kicks in
+  // Same shape as fig15: a power domain is 1/16 of the cluster and the cascade can
+  // take a handful of zones; the signal is the climb back, not queueing collapse.
+  StormShape shape;
+  TimeNs outage_heal = 25 * kSecond;    // power-domain outage: first breaker reset
+  TimeNs outage_stagger = 5 * kSecond;  // per-rack reset spacing
+  TimeNs cascade_quench = 0;            // thermal cascade: cooling kicks in
 };
 
-StormParams FullScale() {
+StormParams ParamsFor(bool ci) {
   StormParams p;
-  p.scale_name = "full";
-  p.cluster = StressClusterConfig();  // 1024 GPUs / 448 servers (bench/common.h)
-  // Same ~65% headroom rationale as fig15: a power domain is 1/16 of the cluster and
-  // the cascade can take a handful of zones; the signal is the climb back, not
-  // queueing collapse at saturation.
-  p.qps = {200.0, 200.0, 130.0, 90.0};
-  p.pre_duration = 60 * kSecond;
-  p.storm_duration = 180 * kSecond;
-  p.fault_offset = 15 * kSecond;
-  p.outage_heal = 25 * kSecond;
-  p.outage_stagger = 5 * kSecond;
-  p.cascade_quench = 10 * kSecond;
-  return p;
-}
-
-StormParams CiScale() {
-  StormParams p;
-  p.scale_name = "ci";
-  p.cluster = StressCiClusterConfig();  // 128 GPUs / 56 servers
-  p.qps = {40.0, 40.0, 26.0, 17.0};
-  p.pre_duration = 30 * kSecond;
-  p.storm_duration = 90 * kSecond;
-  p.fault_offset = 10 * kSecond;
-  p.outage_heal = 25 * kSecond;
-  p.outage_stagger = 5 * kSecond;
+  p.shape = StormShapeFor(ci);
   // A shorter quench at 1/8 scale: the same cascade span would eat a third of the
   // cluster and measure queueing collapse instead of recovery.
-  p.cascade_quench = 6 * kSecond;
+  p.cascade_quench = (ci ? 6 : 10) * kSecond;
   return p;
 }
 
@@ -101,110 +73,49 @@ PowerDomainId BusiestPowerDomain(const Cluster& cluster) {
   return best;
 }
 
-std::unique_ptr<FlexPipeSystem> MakeFlexPipe(ExperimentEnv& env,
-                                             const std::vector<double>& qps,
-                                             FaultRecoveryPolicy policy,
-                                             double spread_weight) {
-  std::vector<FlexPipeSystem::ModelDeployment> deployments;
-  for (size_t i = 0; i < qps.size(); ++i) {
-    FlexPipeSystem::ModelDeployment d;
-    d.ladder = &env.ladder(static_cast<int>(i));
-    d.config.model_id = static_cast<int>(i);
-    d.config.initial_stages = d.ladder->coarsest();
-    d.config.target_peak_rps = qps[i];
-    d.config.default_slo = kDefaultSlo;
-    d.config.scaling.reclaim_idle = 45 * kSecond;
-    d.config.fault_recovery = policy;
-    // The placer is shared and parameterised by the first deployment's knobs.
-    d.config.placement.domain_spread_weight = spread_weight;
-    // Degraded-mode serving under capacity loss: all arms run with brownout on, so
-    // the drain contract is submitted == completed + shed.
-    d.config.enable_brownout = true;
-    deployments.push_back(d);
-  }
-  return std::make_unique<FlexPipeSystem>(env.Context(), std::move(deployments));
-}
-
 // One (storm, spread, policy) universe. Never prints (sweep-arm contract).
 ArmResult RunStormArm(const StormParams& params, Storm storm, double spread_weight,
                       FaultRecoveryPolicy policy) {
-  const std::vector<ModelSpec> models = EvaluationModels();
-  ExperimentEnvConfig env_config = DefaultEnvConfig(models);
-  env_config.cluster = params.cluster;
-  ExperimentEnv env(env_config);
-  std::unique_ptr<FlexPipeSystem> system =
-      MakeFlexPipe(env, params.qps, policy, spread_weight);
-
-  FaultInjector injector(&env.sim(), &env.cluster());
-  FlexPipeSystem* sys = system.get();
-  injector.AddGpuLossListener(
-      [sys](const std::vector<GpuId>& lost) { sys->OnGpusLost(lost); });
-
-  const TimeNs storm_start = kWarmup + params.pre_duration;
-  const TimeNs fault_time = storm_start + params.fault_offset;
+  FlexPipeConfig config;
+  config.fault_recovery = policy;
+  config.placement.domain_spread_weight = spread_weight;
+  // Degraded-mode serving under capacity loss: all arms run with brownout on, so the
+  // drain contract is submitted == completed + shed.
+  config.enable_brownout = true;
+  StormArm arm(params.shape, config);
   switch (storm) {
     case Storm::kPowerOutage:
-      // Victim chosen against the live placement just before impact.
-      env.sim().ScheduleAt(fault_time - kMillisecond, [&env, &injector, &params,
-                                                       fault_time] {
-        injector.Arm(FaultPlan::PowerDomainOutage(
-            fault_time, BusiestPowerDomain(env.cluster()), env.cluster(),
-            params.outage_heal, params.outage_stagger));
+      arm.ArmBeforeImpact([&params](const Cluster& cluster, TimeNs fault_time) {
+        return FaultPlan::PowerDomainOutage(fault_time, BusiestPowerDomain(cluster), cluster,
+                                            params.outage_heal, params.outage_stagger);
       });
       break;
     case Storm::kThermalCascade:
-      env.sim().ScheduleAt(fault_time - kMillisecond, [&env, &injector, &params,
-                                                       fault_time] {
-        injector.Arm(FaultPlan::ThermalCascade(
-            fault_time, BusiestThermalZone(env.cluster()), env.cluster(),
-            /*spread_factor=*/0.8, /*spread_interval=*/2 * kSecond,
-            params.cascade_quench, kSeed));
+      arm.ArmBeforeImpact([&params](const Cluster& cluster, TimeNs fault_time) {
+        return FaultPlan::ThermalCascade(fault_time, BusiestThermalZone(cluster), cluster,
+                                         /*spread_factor=*/0.8, /*spread_interval=*/2 * kSecond,
+                                         params.cascade_quench, kSeed);
       });
       break;
   }
+  arm.Run();
 
-  WorkloadHarness harness(env, {system.get()});
-  MergedRequestStream pre_stream =
-      MultiModelWorkloadStream(models, params.qps, /*cv=*/2.0, params.pre_duration, kSeed);
-  harness.RunPhase(pre_stream, RunOptions{.horizon = storm_start, .warmup = kWarmup});
-
-  MergedRequestStream storm_stream = MultiModelWorkloadStream(
-      models, params.qps, /*cv=*/2.0, params.storm_duration, kSeed + 1);
-  StreamingRunReport report = harness.RunPhase(
-      storm_stream,
-      RunOptions{.drain_grace = 900 * kSecond, .warmup = storm_start});
-  harness.Finish();
-
-  const MetricsCollector& m = system->metrics();
-  const ServingSystemBase::FailureStats& stats = system->failure_stats();
-  const int64_t submitted = harness.total_submitted();
-  const int64_t completed = m.completed();
-  const int64_t stuck_live = static_cast<int64_t>(harness.pool().live());
-  // With brownout in the loop the exactly-once ledger gains a shed column: every
-  // submitted request either completed, was refused at admission, or is still live.
-  const int64_t lost = submitted - completed - stats.requests_shed - stuck_live;
-
-  FailureImpact impact;
-  impact.submitted = submitted;
-  impact.requests_shed = stats.requests_shed;
-  impact.instances_lost = stats.instances_lost;
-  impact.whole_pipeline_losses = stats.whole_pipeline_losses;
-  FailureRecoveryReport recovery = AnalyzeFailureRecovery(
-      m.completions(), injector.loss_times(), report.ran_until, impact);
-
+  const StormLedger& ledger = arm.ledger();
+  const FailureRecoveryReport& recovery = arm.recovery();
+  const ServingSystemBase::FailureStats& stats = arm.system().failure_stats();
   const std::string prefix = std::string(StormName(storm)) + "_" +
                              (spread_weight > 0.0 ? "spread" : "packed") + "_" +
                              PolicyName(policy) + "_";
   ArmResult result;
   result.metrics = {
-      {prefix + "submitted", static_cast<double>(submitted)},
-      {prefix + "completed", static_cast<double>(completed)},
-      {prefix + "shed", static_cast<double>(stats.requests_shed)},
-      {prefix + "requests_lost", static_cast<double>(lost)},
-      {prefix + "stuck_live", static_cast<double>(stuck_live)},
+      {prefix + "submitted", static_cast<double>(ledger.submitted)},
+      {prefix + "completed", static_cast<double>(ledger.completed)},
+      {prefix + "shed", static_cast<double>(ledger.shed)},
+      {prefix + "requests_lost", static_cast<double>(ledger.lost)},
+      {prefix + "stuck_live", static_cast<double>(ledger.stuck)},
       {prefix + "instances_lost", static_cast<double>(stats.instances_lost)},
       {prefix + "whole_pipeline_losses", static_cast<double>(stats.whole_pipeline_losses)},
-      {prefix + "gpus_lost", static_cast<double>(injector.gpus_lost())},
+      {prefix + "gpus_lost", static_cast<double>(arm.injector().gpus_lost())},
       {prefix + "requeued", static_cast<double>(stats.requests_requeued)},
       {prefix + "resumed", static_cast<double>(stats.requests_resumed)},
       {prefix + "restarted", static_cast<double>(stats.requests_restarted)},
@@ -217,16 +128,12 @@ ArmResult RunStormArm(const StormParams& params, Storm storm, double spread_weig
       {prefix + "domain_survivability", recovery.domain_survivability},
   };
   result.exit_code =
-      (lost == 0 && stuck_live == 0 && stats.instances_lost > 0 && recovery.fault_count > 0)
-          ? 0
-          : 1;
+      (ledger.clean() && stats.instances_lost > 0 && recovery.fault_count > 0) ? 0 : 1;
   return result;
 }
 
 int Run(BenchReporter& reporter) {
-  const char* scale_env = std::getenv("FLEXPIPE_STRESS_SCALE");
-  const bool ci = scale_env != nullptr && std::strcmp(scale_env, "ci") == 0;
-  const StormParams params = ci ? CiScale() : FullScale();
+  const StormParams params = ParamsFor(StressScaleIsCi());
   // Strong enough to pull stages out of one rack against the topology bonuses; 0
   // must reproduce the packed default bit-identically (pinned by placement_test).
   const double kSpreadWeight = 2.0;
@@ -235,9 +142,9 @@ int Run(BenchReporter& reporter) {
               "power/thermal domain storms on the production deployment "
               "(robustness extension)");
   std::printf("scale=%s: %d racks, %d power domains, brownout on, CV=2 arrivals\n\n",
-              params.scale_name, params.cluster.racks,
-              (params.cluster.racks + params.cluster.racks_per_power_domain - 1) /
-                  params.cluster.racks_per_power_domain);
+              params.shape.scale_name, params.shape.cluster.racks,
+              (params.shape.cluster.racks + params.shape.cluster.racks_per_power_domain - 1) /
+                  params.shape.cluster.racks_per_power_domain);
 
   const std::vector<Storm> storms = {Storm::kPowerOutage, Storm::kThermalCascade};
   const std::vector<double> spreads = {kSpreadWeight, 0.0};

@@ -21,16 +21,15 @@
 // The claims gated here and by CI: mitigation strictly beats ignoring on storm-window
 // P99 inflation and goodput-dip area for the throttle storm, detection latency is
 // bounded, healthy arms see zero flags and zero quarantines, and every arm drains
-// with the exactly-once ledger intact (nothing lost, nothing stuck).
+// with the exactly-once ledger intact (nothing lost, nothing stuck). Each arm runs on
+// the shared storm harness (bench/storm.h).
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/storm.h"
 #include "bench/sweep.h"
 #include "src/common/stats.h"
 #include "src/sim/faults.h"
@@ -41,27 +40,28 @@ using namespace flexpipe;
 using namespace flexpipe::bench;
 
 struct FailSlowParams {
-  const char* scale_name;
-  ClusterConfig cluster;
-  std::vector<double> qps;  // per EvaluationModels() entry
-  TimeNs pre_duration;      // phase 1: steady state before the storm
-  TimeNs storm_duration;    // phase 2: degradation lands and serving is measured
-  TimeNs fault_offset;      // first degrade, relative to phase-2 start
-  TimeNs throttle_recover;  // per-zone throttle clears this long after infection
-  TimeNs link_recover;      // rack uplink degradation clears after this
-  TimeNs throttle_quench;   // cooling stops the wave spreading
+  StormShape shape;
+  TimeNs throttle_recover = 0;  // per-zone throttle clears this long after infection
+  TimeNs link_recover = 0;      // rack uplink degradation clears after this
+  TimeNs throttle_quench = 0;   // cooling stops the wave spreading
 };
 
-FailSlowParams FullScale() {
+FailSlowParams ParamsFor(bool ci) {
   FailSlowParams p;
-  p.scale_name = "full";
-  p.cluster = StressClusterConfig();  // 1024 GPUs / 448 servers (bench/common.h)
+  p.shape = StormShapeFor(ci);
+  if (ci) {
+    // Persists past the storm window (see below): "ignore" limps for the whole
+    // measurement; mitigation's one-time evacuation cost amortizes over it.
+    p.throttle_recover = 200 * kSecond;
+    p.link_recover = 50 * kSecond;
+    // Shorter quench at 1/8 scale, same rationale as fig16's cascade: the wave should
+    // degrade a measurable slice of the fleet, not most of it.
+    p.throttle_quench = 4 * kSecond;
+    return p;
+  }
   // Below the saturation knee: a storm study needs headroom on the healthy
   // baseline, or queueing noise swamps the degradation signal.
-  p.qps = {120.0, 120.0, 80.0, 55.0};
-  p.pre_duration = 60 * kSecond;
-  p.storm_duration = 180 * kSecond;
-  p.fault_offset = 15 * kSecond;
+  p.shape.qps = {120.0, 120.0, 80.0, 55.0};
   // Fail-slow faults do not self-heal on serving timescales — a cooked heatsink or
   // flapping optic stays sick until an operator swaps it. The throttle outlives the
   // measured storm window so "ignore" pays for the full storm; only the link
@@ -71,24 +71,6 @@ FailSlowParams FullScale() {
   // 448 servers = 112 thermal zones: the wave needs more spread generations than
   // the 1/8-scale run to throttle a comparable fleet fraction.
   p.throttle_quench = 16 * kSecond;
-  return p;
-}
-
-FailSlowParams CiScale() {
-  FailSlowParams p;
-  p.scale_name = "ci";
-  p.cluster = StressCiClusterConfig();  // 128 GPUs / 56 servers
-  p.qps = {40.0, 40.0, 26.0, 17.0};
-  p.pre_duration = 30 * kSecond;
-  p.storm_duration = 90 * kSecond;
-  p.fault_offset = 10 * kSecond;
-  // Persists past the storm window (see FullScale): "ignore" limps for the whole
-  // measurement; mitigation's one-time evacuation cost amortizes over it.
-  p.throttle_recover = 200 * kSecond;
-  p.link_recover = 50 * kSecond;
-  // Shorter quench at 1/8 scale, same rationale as fig16's cascade: the wave should
-  // degrade a measurable slice of the fleet, not most of it.
-  p.throttle_quench = 4 * kSecond;
   return p;
 }
 
@@ -134,27 +116,6 @@ HealthConfig BenchHealthConfig(bool mitigate) {
   return h;
 }
 
-std::unique_ptr<FlexPipeSystem> MakeFlexPipe(ExperimentEnv& env,
-                                             const std::vector<double>& qps,
-                                             bool mitigate) {
-  std::vector<FlexPipeSystem::ModelDeployment> deployments;
-  for (size_t i = 0; i < qps.size(); ++i) {
-    FlexPipeSystem::ModelDeployment d;
-    d.ladder = &env.ladder(static_cast<int>(i));
-    d.config.model_id = static_cast<int>(i);
-    d.config.initial_stages = d.ladder->coarsest();
-    d.config.target_peak_rps = qps[i];
-    d.config.default_slo = kDefaultSlo;
-    d.config.scaling.reclaim_idle = 45 * kSecond;
-    d.config.fault_recovery = FaultRecoveryPolicy::kReform;
-    // The health monitor is shared and parameterised by the first deployment's knobs,
-    // like the placer; set on every deployment for uniformity.
-    d.config.health = BenchHealthConfig(mitigate);
-    deployments.push_back(d);
-  }
-  return std::make_unique<FlexPipeSystem>(env.Context(), std::move(deployments));
-}
-
 // Storm-window P99 over a fixed span, so arms with different drain lengths compare
 // the same interval.
 double WindowP99(const std::vector<CompletionSample>& completions, TimeNs from,
@@ -173,70 +134,36 @@ double WindowP99(const std::vector<CompletionSample>& completions, TimeNs from,
 
 // One (scenario, policy) universe. Never prints (sweep-arm contract).
 ArmResult RunFailSlowArm(const FailSlowParams& params, Scenario scenario, bool mitigate) {
-  const std::vector<ModelSpec> models = EvaluationModels();
-  ExperimentEnvConfig env_config = DefaultEnvConfig(models);
-  env_config.cluster = params.cluster;
-  ExperimentEnv env(env_config);
-  std::unique_ptr<FlexPipeSystem> system = MakeFlexPipe(env, params.qps, mitigate);
-
-  FaultInjector injector(&env.sim(), &env.cluster());
-  FlexPipeSystem* sys = system.get();
-  injector.AddGpuLossListener(
-      [sys](const std::vector<GpuId>& lost) { sys->OnGpusLost(lost); });
-
-  const TimeNs storm_start = kWarmup + params.pre_duration;
-  const TimeNs fault_time = storm_start + params.fault_offset;
+  FlexPipeConfig config;
+  config.fault_recovery = FaultRecoveryPolicy::kReform;
+  config.health = BenchHealthConfig(mitigate);
+  StormArm arm(params.shape, config);
   switch (scenario) {
     case Scenario::kThrottleWave:
-      // Victim chosen against the live placement just before impact.
-      env.sim().ScheduleAt(fault_time - kMillisecond, [&env, &injector, &params,
-                                                       fault_time] {
-        injector.Arm(FaultPlan::ThrottleWave(
-            fault_time, BusiestThermalZone(env.cluster()), env.cluster(),
-            kThrottleMultiplier, /*spread_factor=*/0.9, /*spread_interval=*/2 * kSecond,
-            params.throttle_quench, params.throttle_recover, kSeed));
+      arm.ArmBeforeImpact([&params](const Cluster& cluster, TimeNs fault_time) {
+        return FaultPlan::ThrottleWave(fault_time, BusiestThermalZone(cluster), cluster,
+                                       kThrottleMultiplier, /*spread_factor=*/0.9,
+                                       /*spread_interval=*/2 * kSecond, params.throttle_quench,
+                                       params.throttle_recover, kSeed);
       });
       break;
     case Scenario::kLinkDegrade:
-      env.sim().ScheduleAt(fault_time - kMillisecond, [&env, &injector, &params,
-                                                       fault_time] {
-        injector.Arm(FaultPlan::RackLinkDegrade(fault_time, BusiestRack(env.cluster()),
-                                                kLinkFactor, params.link_recover));
+      arm.ArmBeforeImpact([&params](const Cluster& cluster, TimeNs fault_time) {
+        return FaultPlan::RackLinkDegrade(fault_time, BusiestRack(cluster), kLinkFactor,
+                                          params.link_recover);
       });
       break;
     case Scenario::kHealthy:
       break;  // detection runs against a clean fleet: the false-positive baseline
   }
+  arm.Run();
 
-  WorkloadHarness harness(env, {system.get()});
-  MergedRequestStream pre_stream =
-      MultiModelWorkloadStream(models, params.qps, /*cv=*/2.0, params.pre_duration, kSeed);
-  harness.RunPhase(pre_stream, RunOptions{.horizon = storm_start, .warmup = kWarmup});
-
-  MergedRequestStream storm_stream = MultiModelWorkloadStream(
-      models, params.qps, /*cv=*/2.0, params.storm_duration, kSeed + 1);
-  StreamingRunReport report = harness.RunPhase(
-      storm_stream, RunOptions{.drain_grace = 900 * kSecond, .warmup = storm_start});
-  harness.Finish();
-
-  const MetricsCollector& m = system->metrics();
-  const ServingSystemBase::FailureStats& stats = system->failure_stats();
-  const HealthMonitor* monitor = system->health_monitor();
-  const int64_t submitted = harness.total_submitted();
-  const int64_t completed = m.completed();
-  const int64_t stuck_live = static_cast<int64_t>(harness.pool().live());
-  const int64_t lost = submitted - completed - stats.requests_shed - stuck_live;
-
-  FailureImpact impact;
-  impact.submitted = submitted;
-  impact.requests_shed = stats.requests_shed;
-  impact.instances_lost = stats.instances_lost;
-  impact.whole_pipeline_losses = stats.whole_pipeline_losses;
-  for (const FaultInjector::DegradationEpisode& e : injector.degradation_episodes()) {
-    impact.degraded_spans.push_back({e.start, e.clear});
-  }
-  FailureRecoveryReport recovery = AnalyzeFailureRecovery(
-      m.completions(), injector.loss_times(), report.ran_until, impact);
+  const StormLedger& ledger = arm.ledger();
+  const FailureRecoveryReport& recovery = arm.recovery();
+  const ServingSystemBase::FailureStats& stats = arm.system().failure_stats();
+  const MetricsCollector& m = arm.system().metrics();
+  const HealthMonitor* monitor = arm.system().health_monitor();
+  const FaultInjector& injector = arm.injector();
 
   // Detection latency: first flag vs first degrading fire. -1 when nothing was
   // degraded or nothing was flagged (the aggregate gates tell those apart).
@@ -244,24 +171,25 @@ ArmResult RunFailSlowArm(const FailSlowParams& params, Scenario scenario, bool m
   if (!injector.degrade_times().empty() && monitor->first_flag_time() >= 0) {
     detection_s = ToSeconds(monitor->first_flag_time() - injector.degrade_times().front());
   }
+  const TimeNs storm_start = params.shape.storm_start();
   const double storm_p99 =
-      WindowP99(m.completions(), storm_start, storm_start + params.storm_duration);
+      WindowP99(m.completions(), storm_start, storm_start + params.shape.storm_duration);
 
   const std::string prefix = std::string(ScenarioName(scenario)) + "_" +
                              (mitigate ? "mitigate" : "ignore") + "_";
   ArmResult result;
   result.metrics = {
-      {prefix + "submitted", static_cast<double>(submitted)},
-      {prefix + "completed", static_cast<double>(completed)},
-      {prefix + "requests_lost", static_cast<double>(lost)},
-      {prefix + "stuck_live", static_cast<double>(stuck_live)},
+      {prefix + "submitted", static_cast<double>(ledger.submitted)},
+      {prefix + "completed", static_cast<double>(ledger.completed)},
+      {prefix + "requests_lost", static_cast<double>(ledger.lost)},
+      {prefix + "stuck_live", static_cast<double>(ledger.stuck)},
       {prefix + "storm_p99_s", storm_p99},
       {prefix + "overall_p99_s", m.LatencyPercentileSec(99)},
       {prefix + "flags", static_cast<double>(monitor->flags_raised())},
       {prefix + "quarantines", static_cast<double>(monitor->quarantine_count())},
       {prefix + "readmissions", static_cast<double>(monitor->readmissions())},
       {prefix + "quarantined_now", static_cast<double>(monitor->quarantined_now())},
-      {prefix + "health_migrations", static_cast<double>(system->health_migrations())},
+      {prefix + "health_migrations", static_cast<double>(arm.system().health_migrations())},
       {prefix + "detection_latency_s", detection_s},
       {prefix + "resumed", static_cast<double>(stats.requests_resumed)},
       {prefix + "requeued", static_cast<double>(stats.requests_requeued)},
@@ -272,20 +200,19 @@ ArmResult RunFailSlowArm(const FailSlowParams& params, Scenario scenario, bool m
   };
   // Per-arm contract: the exactly-once ledger drains clean. Everything
   // policy-comparative is gated in the aggregate below.
-  result.exit_code = (lost == 0 && stuck_live == 0) ? 0 : 1;
+  result.exit_code = ledger.clean() ? 0 : 1;
   return result;
 }
 
 int Run(BenchReporter& reporter) {
-  const char* scale_env = std::getenv("FLEXPIPE_STRESS_SCALE");
-  const bool ci = scale_env != nullptr && std::strcmp(scale_env, "ci") == 0;
-  const FailSlowParams params = ci ? CiScale() : FullScale();
+  const FailSlowParams params = ParamsFor(StressScaleIsCi());
 
   PrintHeader("Fig. 17: fail-slow storms — straggler detection and proactive refactoring",
               "gray failures (thermal throttle waves, sick rack uplinks) on the "
               "production deployment (robustness extension)");
   std::printf("scale=%s: %d racks, throttle %.2fx, link %.2fx, CV=2 arrivals\n\n",
-              params.scale_name, params.cluster.racks, kThrottleMultiplier, kLinkFactor);
+              params.shape.scale_name, params.shape.cluster.racks, kThrottleMultiplier,
+              kLinkFactor);
 
   const std::vector<Scenario> scenarios = {Scenario::kThrottleWave,
                                            Scenario::kLinkDegrade, Scenario::kHealthy};

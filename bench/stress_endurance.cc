@@ -8,7 +8,7 @@
 // no per-completion series. The headline outputs are the peak event-arena slot count
 // and the peak live-request count: both must stay flat no matter how long the
 // scenario runs, which is what makes hour-scale (PipeBoost/HydraServe-style) sustained
-// traffic feasible where the materialized path pinned one pre-scheduled event per
+// traffic feasible where pre-scheduling every arrival would pin one engine event per
 // request. CI runs the reduced FLEXPIPE_STRESS_SCALE=ci shape against events/sec and
 // arena-headroom floors.
 #include <sys/resource.h>
@@ -16,8 +16,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench/common.h"
 
@@ -70,8 +68,7 @@ double MaxRssMiB() {
 }
 
 int Run(BenchReporter& reporter) {
-  const char* scale_env = std::getenv("FLEXPIPE_STRESS_SCALE");
-  const bool ci = scale_env != nullptr && std::strcmp(scale_env, "ci") == 0;
+  const bool ci = StressScaleIsCi();
   EnduranceParams params = ci ? CiScale() : FullScale();
 
   PrintHeader("Endurance stress: streamed hour-scale multi-model serving",

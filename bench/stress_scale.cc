@@ -14,8 +14,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench/common.h"
 #include "bench/sweep.h"
@@ -58,8 +56,8 @@ StressParams CiScale() {
 // ---------------------------------------------------------------------------
 // Engine storm: the serving run measures the whole stack (instances, router,
 // controllers share the wall clock with the engine), so engine gains are diluted by
-// semantic simulation work. This phase isolates the substrate with the same shape the
-// serving run produces: a six-figure backlog of pre-scheduled one-shots (arrivals),
+// semantic simulation work. This phase isolates the substrate with the shape of a
+// serving run that pre-schedules its trace: a six-figure backlog of one-shots (arrivals),
 // thousands of self-rescheduling short-delay chains (pipeline waves), and a watchdog
 // re-arm every 8th step (timeout churn — the pattern whose cancels the old engine
 // retained as heap tombstones forever).
@@ -129,9 +127,9 @@ ArmResult ServingArm(const StressParams& params) {
   env_config.cluster = params.cluster;
   ExperimentEnv env(env_config);
 
-  // Streaming injection: requests are drawn lazily and recycled on completion, so the
-  // engine never holds a pre-scheduled arrival backlog (PR-3's staging tier now only
-  // sees genuinely far-future control events).
+  // Requests are drawn lazily and recycled on completion, so the engine holds one
+  // pending arrival, never an arrival backlog; its staging tier sees only far-future
+  // control events here (the engine-storm arm below is what exercises a backlog).
   MergedRequestStream stream =
       MultiModelWorkloadStream(models, params.qps, /*cv=*/2.0, params.duration);
   auto system = MakeSharedClusterSystem(SystemKind::kFlexPipe, env, params.qps);
@@ -193,8 +191,7 @@ double Metric(const ArmResult& result, const std::string& name) {
 }
 
 int Run(BenchReporter& reporter) {
-  const char* scale_env = std::getenv("FLEXPIPE_STRESS_SCALE");
-  const bool ci = scale_env != nullptr && std::strcmp(scale_env, "ci") == 0;
+  const bool ci = StressScaleIsCi();
   StressParams params = ci ? CiScale() : FullScale();
 
   PrintHeader("Cluster-scale stress: shared multi-model serving",

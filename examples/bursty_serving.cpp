@@ -50,17 +50,16 @@ int main() {
                 static_cast<long long>(system.refactor_count()));
   });
 
-  std::vector<Request> storage;
+  VectorRequestStream stream(specs);
   RunOptions options;
   options.warmup = 60 * kSecond;
   options.drain_grace = 60 * kSecond;
-  RunReport report = RunWorkload(env, system, specs, storage, options);
+  RunStreamingWorkload(env, system, stream, options);
   probe.Cancel();
 
   std::printf("\ndone: %lld completed, mean %.2fs, P99 %.2fs, KV migrated %.1f MiB\n",
               static_cast<long long>(system.metrics().completed()),
               system.metrics().MeanLatencySec(), system.metrics().LatencyPercentileSec(99),
               ToMiB(system.kv_migrated_bytes()));
-  (void)report;
   return 0;
 }

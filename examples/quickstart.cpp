@@ -38,11 +38,11 @@ int main() {
   std::vector<RequestSpec> specs = gen.GenerateWithCv(rng, 8.0, 3.0, 2 * kMinute);
 
   // 4. Serve it. The run shifts arrivals past the initial parameter load (warmup).
-  std::vector<Request> storage;
+  VectorRequestStream stream(specs);
   RunOptions options;
   options.warmup = 30 * kSecond;
   options.drain_grace = 60 * kSecond;
-  RunReport report = RunWorkload(env, system, specs, storage, options);
+  StreamingRunReport report = RunStreamingWorkload(env, system, stream, options);
 
   // 5. Results.
   const MetricsCollector& m = system.metrics();

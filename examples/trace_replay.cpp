@@ -19,10 +19,11 @@ std::vector<RequestSpec> CompressedDay() {
   config.seed = 123;
   AzureTraceSynthesizer synth(config);
   auto raw = synth.GenerateArrivals();
-  // Compress 24h into 10 simulated minutes, thinning to keep volume manageable.
+  // Compress 24h into 10 simulated minutes, keeping every 70th arrival so the mean
+  // offered rate (~30 rps) fits the 30 rps peak both deployments below are sized for.
   const double compress = 600.0 / 86400.0;
   std::vector<TimeNs> ts;
-  for (size_t i = 0; i < raw.size(); i += 6) {
+  for (size_t i = 0; i < raw.size(); i += 70) {
     ts.push_back(static_cast<TimeNs>(static_cast<double>(raw[i]) * compress));
   }
   TraceReplayArrivals replay(ts);
@@ -60,8 +61,8 @@ int main() {
     config.target_peak_rps = 30.0;
     config.default_slo = 10 * kSecond;
     FlexPipeSystem system(env.Context(), &env.ladder(0), config);
-    std::vector<Request> storage;
-    RunReport report = RunWorkload(env, system, specs, storage, options);
+    VectorRequestStream stream(specs);
+    StreamingRunReport report = RunStreamingWorkload(env, system, stream, options);
     std::printf("FlexPipe : goodput %.1f%%  meanRT %.2fs  P99 %.2fs  peakGPUs %d  util %.1f%%\n",
                 100 * system.metrics().GoodputRate(report.submitted),
                 system.metrics().MeanLatencySec(), system.metrics().LatencyPercentileSec(99),
@@ -78,8 +79,8 @@ int main() {
     config.target_peak_rps = 30.0;
     config.default_slo = 10 * kSecond;
     AlpaServeSystem system(env.Context(), &env.ladder(0), config);
-    std::vector<Request> storage;
-    RunReport report = RunWorkload(env, system, specs, storage, options);
+    VectorRequestStream stream(specs);
+    StreamingRunReport report = RunStreamingWorkload(env, system, stream, options);
     std::printf("AlpaServe: goodput %.1f%%  meanRT %.2fs  P99 %.2fs  peakGPUs %d  util %.1f%%\n",
                 100 * system.metrics().GoodputRate(report.submitted),
                 system.metrics().MeanLatencySec(), system.metrics().LatencyPercentileSec(99),

@@ -65,70 +65,6 @@ void ExperimentEnv::StartChurn() {
   });
 }
 
-RunReport RunWorkload(ExperimentEnv& env, std::vector<ServingSystemBase*> systems_by_model,
-                      const std::vector<RequestSpec>& specs, std::vector<Request>& storage,
-                      const RunOptions& options) {
-  FLEXPIPE_CHECK(!systems_by_model.empty());
-  storage.clear();
-  storage.resize(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    storage[i].spec = specs[i];
-    storage[i].spec.arrival += options.warmup;
-  }
-
-  for (ServingSystemBase* system : systems_by_model) {
-    system->Start();
-  }
-  if (options.enable_churn) {
-    env.StartChurn();
-  }
-
-  Simulation& sim = env.sim();
-  for (size_t i = 0; i < storage.size(); ++i) {
-    Request* request = &storage[i];
-    ServingSystemBase* system;
-    if (systems_by_model.size() == 1) {
-      // One multi-model system serves the whole stream; its router splits by model.
-      system = systems_by_model.front();
-    } else {
-      int model = request->spec.model_index;
-      FLEXPIPE_CHECK(model >= 0 && model < static_cast<int>(systems_by_model.size()));
-      system = systems_by_model[static_cast<size_t>(model)];
-    }
-    sim.ScheduleAt(request->spec.arrival, [system, request] { system->OnArrival(request); });
-  }
-
-  std::unique_ptr<PeriodicSimulationAuditor> auditor;
-  if (kAuditBuild && options.audit_interval > 0) {
-    auditor = std::make_unique<PeriodicSimulationAuditor>(&sim, &env.cluster(),
-                                                          systems_by_model,
-                                                          options.audit_interval);
-  }
-
-  TimeNs horizon = options.horizon;
-  if (horizon == 0) {
-    TimeNs last = specs.empty() ? 0 : specs.back().arrival;
-    horizon = last + options.warmup + options.drain_grace;
-  }
-  sim.RunUntil(horizon);
-  for (ServingSystemBase* system : systems_by_model) {
-    system->Finish();
-  }
-
-  RunReport report;
-  report.submitted = static_cast<int64_t>(specs.size());
-  report.ran_until = sim.now();
-  report.warmup = options.warmup;
-  report.audit_events = auditor ? auditor->audits_run() : 0;
-  return report;
-}
-
-RunReport RunWorkload(ExperimentEnv& env, ServingSystemBase& system,
-                      const std::vector<RequestSpec>& specs, std::vector<Request>& storage,
-                      const RunOptions& options) {
-  return RunWorkload(env, std::vector<ServingSystemBase*>{&system}, specs, storage, options);
-}
-
 Request* RequestPool::Acquire(const RequestSpec& spec, TimeNs warmup) {
   Request* request;
   if (!free_.empty()) {
@@ -240,7 +176,7 @@ StreamingRunReport WorkloadHarness::RunPhase(RequestStream& stream,
   }
 
   // The stream's end time bounds every arrival, so the default horizon is known before
-  // any request is drawn (the materialized path keys off the last arrival instead).
+  // any request is drawn.
   TimeNs horizon = options.horizon;
   if (horizon == 0) {
     horizon = stream.end_time() + options.warmup + options.drain_grace;

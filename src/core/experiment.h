@@ -85,7 +85,7 @@ class FLEXPIPE_THREAD_HOSTILE ExperimentEnv {
 };
 
 struct RunOptions {
-  TimeNs horizon = 0;            // 0 = last arrival + drain_grace
+  TimeNs horizon = 0;            // 0 = stream end_time() + warmup + drain_grace
   TimeNs drain_grace = 30 * kSecond;
   // Deploy-then-measure: systems start at t=0 but arrivals shift by `warmup`, so
   // initial parameter loading happens before traffic (the paper measures warm fleets).
@@ -97,34 +97,12 @@ struct RunOptions {
   TimeNs audit_interval = 250 * kMillisecond;
 };
 
-struct RunReport {
+struct StreamingRunReport {
   int64_t submitted = 0;
   TimeNs ran_until = 0;
   TimeNs warmup = 0;
   // Events consumed by the periodic auditor itself (0 outside FLEXPIPE_AUDIT builds).
   // Subtract from Simulation::executed_events() to compare event counts across builds.
-  int64_t audit_events = 0;
-  TimeNs measured_span() const { return ran_until - warmup; }
-};
-
-// Owns nothing: `storage` receives one Request per spec (stable addresses) and must
-// outlive the run. With several systems, `systems_by_model[i]` serves requests whose
-// spec.model_index == i; with exactly one system, every request goes to it — that
-// system's model-aware router handles multi-model workloads on the shared cluster.
-RunReport RunWorkload(ExperimentEnv& env, std::vector<ServingSystemBase*> systems_by_model,
-                      const std::vector<RequestSpec>& specs, std::vector<Request>& storage,
-                      const RunOptions& options = RunOptions{});
-
-// Single-system convenience overload.
-RunReport RunWorkload(ExperimentEnv& env, ServingSystemBase& system,
-                      const std::vector<RequestSpec>& specs, std::vector<Request>& storage,
-                      const RunOptions& options = RunOptions{});
-
-struct StreamingRunReport {
-  int64_t submitted = 0;
-  TimeNs ran_until = 0;
-  TimeNs warmup = 0;
-  // See RunReport::audit_events.
   int64_t audit_events = 0;
   // High-water mark of concurrently live Request objects (queued + in flight): the
   // streaming runner recycles completed requests through a pool, so this — not the
@@ -199,13 +177,15 @@ class FLEXPIPE_THREAD_HOSTILE WorkloadHarness {
   bool finished_ = false;
 };
 
-// Streaming analogue of RunWorkload: requests are drawn from `stream` one at a time by
-// a self-rescheduling arrival event (exactly one pending arrival exists at any moment,
-// instead of one pre-scheduled event per trace entry), and completed requests are
-// recycled. Memory — request storage and engine arena alike — stays proportional to
-// in-flight work, so multi-hour multi-million-request scenarios fit in a flat
-// footprint. Routing mirrors RunWorkload: one system serves everything, several
-// systems split by spec.model_index. Thin wrapper over a single-phase WorkloadHarness.
+// The workload runner: requests are drawn from `stream` one at a time by a
+// self-rescheduling arrival event (exactly one pending arrival exists at any moment),
+// and completed requests are recycled. Memory — request storage and engine arena
+// alike — stays proportional to in-flight work, so multi-hour multi-million-request
+// scenarios fit in a flat footprint. With exactly one system, every request goes to
+// it (its model-aware router handles multi-model workloads on the shared cluster);
+// with several, `systems_by_model[i]` serves requests whose spec.model_index == i.
+// A trace already in memory runs through a VectorRequestStream. Thin wrapper over a
+// single-phase WorkloadHarness.
 StreamingRunReport RunStreamingWorkload(ExperimentEnv& env,
                                         std::vector<ServingSystemBase*> systems_by_model,
                                         RequestStream& stream,

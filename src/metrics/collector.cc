@@ -28,6 +28,11 @@ void MetricsCollector::SetKeepCompletionSeries(bool keep) {
 
 void MetricsCollector::OnComplete(const Request& request) {
   FLEXPIPE_CHECK(request.done());
+  // Token progress survives refactors, migrations and fault recovery: a completion has
+  // produced exactly its requested tokens, in causal order.
+  FLEXPIPE_CHECK(request.tokens_generated == request.spec.output_tokens);
+  FLEXPIPE_CHECK(request.first_token_time >= request.spec.arrival);
+  FLEXPIPE_CHECK(request.done_time >= request.first_token_time);
   TimeNs latency = request.TotalLatency();
   FLEXPIPE_CHECK(latency >= 0);
   ++completed_;

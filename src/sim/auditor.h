@@ -32,7 +32,7 @@ class ServingSystemBase;
 struct Request;
 
 // True when the build was configured with -DFLEXPIPE_AUDIT=ON (periodic audits
-// active inside RunWorkload / RunStreamingWorkload).
+// active inside the workload runner, WorkloadHarness).
 #if defined(FLEXPIPE_AUDIT)
 inline constexpr bool kAuditBuild = true;
 #else

@@ -16,13 +16,15 @@
 //     every canceled entry in its heap forever, a real leak under PeriodicTask-heavy
 //     multi-model runs.
 //   * The pending queue is two-tier. Near-term events live in a vector-backed 4-ary
-//     heap of packed 16-byte {when, seq|slot} entries; far-future events (bench
-//     workloads pre-schedule hundreds of thousands of arrivals) wait in a lazily-sorted
-//     staging area and enter the heap in batches as the clock approaches them. This
-//     keeps the hot heap small and cache-resident instead of sifting every event
-//     through a quarter-million-entry heap. Firing order is decided purely by
-//     (when, seq), so the tiering is invisible: the staging area is always merged into
-//     the heap before any event at or beyond the staging threshold fires.
+//     heap of packed 16-byte {when, seq|slot} entries; far-future events wait in a
+//     lazily-sorted staging area and enter the heap in batches as the clock approaches
+//     them. The workload runner keeps one pending arrival, so serving runs stage only
+//     far-future control events, but a caller that schedules a large backlog (the
+//     stress_scale engine storm parks 400k events) keeps a small, cache-resident hot
+//     heap instead of sifting every event through the whole backlog. Firing order is
+//     decided purely by (when, seq), so the tiering is invisible: the staging area is
+//     always merged into the heap before any event at or beyond the staging threshold
+//     fires.
 //
 // Ordering guarantee: events fire in (time, scheduling order) — two events scheduled
 // for the same instant run in the order they were scheduled, so runs are
@@ -52,8 +54,8 @@ class FLEXPIPE_THREAD_HOSTILE Simulation {
   struct Config {
     // Events further than this past the staging threshold go to the staging area
     // instead of the heap. Controller ticks and pipeline iterations (micro- to
-    // milli-second scale) stay on the fast heap path; pre-scheduled workload
-    // arrivals do not.
+    // milli-second scale) stay on the fast heap path; a pre-scheduled far-future
+    // backlog does not.
     TimeNs near_window = 1 * kSecond;
     // How many staged events each refill moves into the heap.
     size_t refill_batch = 1024;

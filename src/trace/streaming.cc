@@ -54,6 +54,16 @@ bool StreamingWorkloadSource::Next(RequestSpec* out) {
   return true;
 }
 
+bool VectorRequestStream::Next(RequestSpec* out) {
+  if (next_ == specs_.size()) {
+    return false;
+  }
+  FLEXPIPE_CHECK_MSG(next_ == 0 || specs_[next_ - 1].arrival <= specs_[next_].arrival,
+                     "trace arrivals must not decrease");
+  *out = specs_[next_++];
+  return true;
+}
+
 MergedRequestStream::MergedRequestStream(std::vector<std::unique_ptr<RequestStream>> parts)
     : parts_(std::move(parts)), heads_(parts_.size()) {
   FLEXPIPE_CHECK(!parts_.empty());

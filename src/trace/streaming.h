@@ -1,21 +1,20 @@
 // Streaming workload sources.
 //
-// The materialized path (WorkloadGenerator::GenerateUntil + RunWorkload) draws every
-// arrival up front, pins the whole trace in memory, and pre-schedules one engine event
-// per request — a quarter-million far-future events parked in the engine's staging
-// tier for the cluster-scale benches, and a hard cap on how long a scenario can run.
-// A streaming source instead holds O(1) state per stream and emits the next request on
-// demand; the streaming runner (RunStreamingWorkload) drives it from one
-// self-rescheduling arrival event, so engine and workload memory stay proportional to
-// in-flight work, not trace length.
+// Every run drives its workload through one pull interface, RequestStream: the runner
+// (RunStreamingWorkload / WorkloadHarness) draws the next request on demand from one
+// self-rescheduling arrival event, so the engine holds a single pending workload event
+// and request storage is recycled — engine and workload memory stay proportional to
+// in-flight work, not trace length. A StreamingWorkloadSource generates requests
+// lazily with O(1) state; a VectorRequestStream replays a trace the caller already
+// holds (unit-test workloads, replayed production traces).
 //
 // Determinism contract: a StreamingWorkloadSource draws arrival gaps from its own RNG
 // in exactly the order ArrivalProcess::GenerateUntil would, so for the same seed the
-// streamed arrival sequence is bit-identical to the materialized one (pinned by
-// trace_test's equivalence suite across Poisson/Gamma/MMPP). Token lengths come from a
-// dedicated child RNG stream: the materialized generator interleaves length draws
-// *after* the full arrival pass, an order no lazy generator can reproduce — arrival
-// times are the pinned contract.
+// streamed arrival sequence is bit-identical to the one GenerateUntil materializes
+// (pinned by trace_test's equivalence suite across Poisson/Gamma/MMPP). Token lengths
+// come from a dedicated child RNG stream: the materialized generator interleaves length
+// draws *after* the full arrival pass, an order no lazy generator can reproduce —
+// arrival times are the pinned contract.
 #ifndef FLEXPIPE_SRC_TRACE_STREAMING_H_
 #define FLEXPIPE_SRC_TRACE_STREAMING_H_
 
@@ -40,8 +39,8 @@ class FLEXPIPE_THREAD_HOSTILE RequestStream {
   // exhausted (`*out` is left untouched).
   virtual bool Next(RequestSpec* out) = 0;
 
-  // Exclusive upper bound on arrival times (the configured duration); the runner
-  // derives the default run horizon from it.
+  // Upper bound on arrival times (a generator's configured duration, a replayed
+  // trace's last arrival); the runner derives the default run horizon from it.
   virtual TimeNs end_time() const = 0;
 };
 
@@ -49,9 +48,9 @@ class FLEXPIPE_THREAD_HOSTILE RequestStream {
 // draw per Next call, identical draw order, O(1) memory.
 class StreamingWorkloadSource : public RequestStream {
  public:
-  // `arrival_rng` must carry the same state the materialized path would hand to
-  // GenerateUntil for bit-identical arrivals. `end` bounds arrivals (exclusive),
-  // `start` offsets the first gap like GenerateUntil's `start`.
+  // `arrival_rng` must carry the state GenerateUntil would be handed for bit-identical
+  // arrivals. `end` bounds arrivals (exclusive), `start` offsets the first gap like
+  // GenerateUntil's `start`.
   StreamingWorkloadSource(const WorkloadGenerator::Config& config,
                           std::unique_ptr<ArrivalProcess> arrivals, Rng arrival_rng,
                           Rng length_rng, TimeNs end, TimeNs start = 0);
@@ -78,6 +77,24 @@ class StreamingWorkloadSource : public RequestStream {
   TimeNs t_;
   RequestId next_id_ = 1;
   bool exhausted_ = false;
+};
+
+// Replays a caller-owned trace in order. The vector must outlive the stream and
+// its arrivals must never decrease (checked as they are emitted). end_time() is the
+// last arrival (0 when empty), so the runner's default horizon is last arrival +
+// warmup + drain_grace.
+class VectorRequestStream : public RequestStream {
+ public:
+  explicit VectorRequestStream(const std::vector<RequestSpec>& specs) : specs_(specs) {}
+  // A temporary trace would dangle before the first Next().
+  explicit VectorRequestStream(std::vector<RequestSpec>&&) = delete;
+
+  bool Next(RequestSpec* out) override;
+  TimeNs end_time() const override { return specs_.empty() ? 0 : specs_.back().arrival; }
+
+ private:
+  const std::vector<RequestSpec>& specs_;
+  size_t next_ = 0;
 };
 
 // Merges per-model streams into one time-ordered stream with the same ordering

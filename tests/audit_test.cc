@@ -214,8 +214,8 @@ TEST(SystemAudit, PeriodicAuditorPassesThroughLiveWorkload) {
                                     500 * kMillisecond);
 
   std::vector<RequestSpec> specs = SmallWorkload(4.0, 4.0, 30 * kSecond);
-  std::vector<Request> storage;
-  RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 60 * kSecond});
+  VectorRequestStream stream(specs);
+  RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 60 * kSecond});
 
   EXPECT_GT(auditor.audits_run(), 0);
   std::vector<std::string> report;

@@ -43,9 +43,9 @@ TEST(EndToEnd, FlexPipeCompletesWorkload) {
   FlexPipeSystem system(env.Context(), &env.ladder(0), config);
 
   std::vector<RequestSpec> specs = SmallWorkload(4.0, 1.0, 60 * kSecond);
-  std::vector<Request> storage;
-  RunReport report = RunWorkload(env, system, specs, storage,
-                                 RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report = RunStreamingWorkload(
+      env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   EXPECT_GT(report.submitted, 100);
   // The vast majority of requests complete within the drain grace.
@@ -91,9 +91,9 @@ TEST(EndToEnd, AllBaselinesCompleteWorkload) {
     ExperimentEnv env(SmallEnvConfig());
     std::unique_ptr<ServingSystemBase> system = test_case.make(env);
     std::vector<RequestSpec> specs = SmallWorkload(3.0, 1.0, 45 * kSecond);
-    std::vector<Request> storage;
-    RunReport report = RunWorkload(env, *system, specs, storage,
-                                   RunOptions{.drain_grace = 180 * kSecond});
+    VectorRequestStream stream(specs);
+    StreamingRunReport report = RunStreamingWorkload(
+        env, *system, stream, RunOptions{.drain_grace = 180 * kSecond});
     EXPECT_GT(report.submitted, 50);
     EXPECT_GE(system->metrics().completed(), report.submitted * 8 / 10)
         << "system " << test_case.name << " completed too few";
@@ -118,8 +118,8 @@ TEST(EndToEnd, FlexPipeRefactorsUnderBurstyTraffic) {
   }
   auto specs = MergeWorkloads({stable, bursty_raw});
 
-  std::vector<Request> storage;
-  RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   EXPECT_GT(system.refactor_count(), 0) << "no inflight refactoring happened";
   EXPECT_GT(system.current_stages(), 4) << "granularity did not move finer under burst";
@@ -148,9 +148,9 @@ TEST(EndToEnd, IdenticallySeededRunsAreBitIdentical) {
     config.control_interval = 250 * kMillisecond;
     FlexPipeSystem system(env.Context(), &env.ladder(0), config);
     std::vector<RequestSpec> specs = SmallWorkload(6.0, 4.0, 60 * kSecond);
-    std::vector<Request> storage;
-    RunReport report = RunWorkload(env, system, specs, storage,
-                                   RunOptions{.drain_grace = 120 * kSecond});
+    VectorRequestStream stream(specs);
+    StreamingRunReport report = RunStreamingWorkload(
+        env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
     RunSignature sig;
     sig.submitted = report.submitted;
     sig.completed = system.metrics().completed();
@@ -215,7 +215,7 @@ uint64_t DoubleBits(double v) {
 }
 
 GoldenSignature SignatureOf(ExperimentEnv& env, const FlexPipeSystem& system,
-                            const RunReport& report) {
+                            const StreamingRunReport& report) {
   GoldenSignature sig;
   sig.submitted = report.submitted;
   sig.completed = system.metrics().completed();
@@ -279,10 +279,9 @@ TEST(EngineGolden, Fig9ScenarioIsBitIdentical) {
   WorkloadGenerator gen(BenchWorkloadConfig());
   Rng rng(Rng(42).Child("workload").seed());
   auto specs = gen.GenerateWithCv(rng, 20.0, 8.0, 60 * kSecond);
-  std::vector<Request> storage;
-  RunReport report = RunWorkload(
-      env, system, specs, storage,
-      RunOptions{.drain_grace = 60 * kSecond, .warmup = 90 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report = RunStreamingWorkload(
+      env, system, stream, RunOptions{.drain_grace = 60 * kSecond, .warmup = 90 * kSecond});
 
   const GoldenSignature kFig9Golden = {1373, 1373, 6998ull, 15106322800334033574ull,
                                        4617917881311703691ull, 4611023934549111266ull};
@@ -307,10 +306,9 @@ TEST(EngineGolden, Fig13ScenarioIsBitIdentical) {
   WorkloadGenerator gen(wconfig);
   Rng rng(Rng(42).Child("OPT-66B").seed());
   auto specs = gen.GenerateWithCv(rng, 10.0, 2.0, 60 * kSecond);
-  std::vector<Request> storage;
-  RunReport report = RunWorkload(
-      env, system, specs, storage,
-      RunOptions{.drain_grace = 60 * kSecond, .warmup = 90 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report = RunStreamingWorkload(
+      env, system, stream, RunOptions{.drain_grace = 60 * kSecond, .warmup = 90 * kSecond});
 
   const GoldenSignature kFig13Golden = {594, 594, 4448ull, 3550150937863148032ull,
                                         4612433669895666873ull, 4597110502577874036ull};
@@ -386,7 +384,8 @@ TEST(EndToEnd, StreamingRunsAreBitIdentical) {
 }
 
 TEST(EndToEnd, MigrationPreservesTokenProgress) {
-  // Every request must produce exactly its requested token count even across refactors.
+  // Every request must produce exactly its requested token count even across refactors;
+  // the per-request checks live in MetricsCollector::OnComplete.
   ExperimentEnv env(SmallEnvConfig());
   FlexPipeConfig config;
   config.initial_stages = 4;
@@ -402,16 +401,12 @@ TEST(EndToEnd, MigrationPreservesTokenProgress) {
     spec.arrival += 30 * kSecond;
   }
   auto specs = MergeWorkloads({stable, bursty});
-  std::vector<Request> storage;
-  RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 180 * kSecond});
+  VectorRequestStream stream(specs);
+  RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 180 * kSecond});
 
-  for (const Request& r : storage) {
-    if (r.done()) {
-      EXPECT_EQ(r.tokens_generated, r.spec.output_tokens) << "request " << r.spec.id;
-      EXPECT_GE(r.first_token_time, r.spec.arrival);
-      EXPECT_GE(r.done_time, r.first_token_time);
-    }
-  }
+  // MetricsCollector::OnComplete checks every completion's token count and timestamps,
+  // so reaching here means every completed request kept its progress.
+  EXPECT_GE(system.metrics().completed(), static_cast<int64_t>(specs.size()) * 8 / 10);
 }
 
 }  // namespace

@@ -446,9 +446,9 @@ StormOutcome RunStorm(FaultRecoveryPolicy policy, bool arm, const FaultPlan& pla
   }
 
   std::vector<RequestSpec> specs = StormWorkload();
-  std::vector<Request> storage;
-  RunReport report =
-      RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report =
+      RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   // The post-storm state must audit clean in every build: the free-GPU index excludes
   // the dead GPUs and the router holds no instance that was lost to a fault.
@@ -571,9 +571,9 @@ TEST(FaultStormTest, PartitionHealRestoresRoutability) {
   injector.Arm(plan);
 
   std::vector<RequestSpec> specs = StormWorkload();
-  std::vector<Request> storage;
-  RunReport report =
-      RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report =
+      RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   EXPECT_EQ(injector.faults_fired(), 6);  // 3 partitions + 3 heals
   EXPECT_GT(system.failure_stats().instances_lost, 0);
@@ -625,9 +625,9 @@ TEST(FaultStormTest, UnhealedPartitionAtHorizonStillDrainsEverything) {
   injector.Arm(plan);
 
   std::vector<RequestSpec> specs = StormWorkload();
-  std::vector<Request> storage;
-  RunReport report =
-      RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report =
+      RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   EXPECT_EQ(injector.faults_fired(), 1);  // the heal never fired
   EXPECT_FALSE(env.cluster().RackReachable(0));
@@ -656,9 +656,9 @@ TEST(FaultStormTest, BrownoutShedsLowPriorityTrafficUnderTotalCapacityLoss) {
   injector.Arm(plan);
 
   std::vector<RequestSpec> specs = StormWorkload();
-  std::vector<Request> storage;
-  RunReport report =
-      RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report =
+      RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   const ServingSystemBase::FailureStats& stats = system.failure_stats();
   // The outage took whole pipelines (every stage GPU unusable at once).
@@ -871,9 +871,9 @@ TEST(FaultStormTest, ThrottleWaveStormDrainsAndReplaysBitIdentically) {
     injector.Arm(wave);
 
     std::vector<RequestSpec> specs = StormWorkload();
-    std::vector<Request> storage;
-    RunReport report = RunWorkload(env, system, specs, storage,
-                                   RunOptions{.drain_grace = 180 * kSecond});
+    VectorRequestStream stream(specs);
+    StreamingRunReport report = RunStreamingWorkload(
+        env, system, stream, RunOptions{.drain_grace = 180 * kSecond});
     EXPECT_TRUE(SimulationAuditor::AuditAll(env.sim(), env.cluster(), {&system}).empty());
 
     StormOutcome out;
@@ -923,9 +923,9 @@ TEST(FaultStormTest, BrownoutOffShedsNothing) {
   injector.Arm(plan);
 
   std::vector<RequestSpec> specs = StormWorkload();
-  std::vector<Request> storage;
-  RunReport report =
-      RunWorkload(env, system, specs, storage, RunOptions{.drain_grace = 120 * kSecond});
+  VectorRequestStream stream(specs);
+  StreamingRunReport report =
+      RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 120 * kSecond});
 
   EXPECT_EQ(system.failure_stats().requests_shed, 0);
   EXPECT_EQ(system.metrics().completed(), report.submitted);

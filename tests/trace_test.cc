@@ -337,5 +337,48 @@ TEST(StreamingWorkload, MergedStreamMatchesMergeWorkloads) {
   EXPECT_EQ(i, merged.size());
 }
 
+// A replayed trace comes out exactly as given, and its last arrival bounds the run.
+TEST(StreamingWorkload, VectorStreamEmitsSpecsInOrder) {
+  WorkloadGenerator gen;
+  Rng rng(5);
+  std::vector<RequestSpec> specs = gen.GenerateWithCv(rng, 10.0, 3.0, 20 * kSecond);
+  ASSERT_GT(specs.size(), 10u);
+  VectorRequestStream stream(specs);
+  EXPECT_EQ(stream.end_time(), specs.back().arrival);
+
+  RequestSpec spec;
+  size_t i = 0;
+  while (stream.Next(&spec)) {
+    ASSERT_LT(i, specs.size());
+    EXPECT_EQ(spec.id, specs[i].id) << "index " << i;
+    EXPECT_EQ(spec.arrival, specs[i].arrival) << "index " << i;
+    EXPECT_EQ(spec.model_index, specs[i].model_index) << "index " << i;
+    EXPECT_EQ(spec.prompt_tokens, specs[i].prompt_tokens) << "index " << i;
+    EXPECT_EQ(spec.output_tokens, specs[i].output_tokens) << "index " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, specs.size());
+  EXPECT_FALSE(stream.Next(&spec));  // stays exhausted
+}
+
+TEST(StreamingWorkload, EmptyVectorStreamEmitsNothing) {
+  const std::vector<RequestSpec> specs;
+  VectorRequestStream stream(specs);
+  EXPECT_EQ(stream.end_time(), 0);
+  RequestSpec spec;
+  EXPECT_FALSE(stream.Next(&spec));
+}
+
+// The runner's single self-rescheduling arrival event cannot schedule into the past.
+TEST(StreamingWorkload, VectorStreamRejectsDecreasingArrivals) {
+  std::vector<RequestSpec> specs(2);
+  specs[0].arrival = 2 * kSecond;
+  specs[1].arrival = 1 * kSecond;
+  VectorRequestStream stream(specs);
+  RequestSpec spec;
+  ASSERT_TRUE(stream.Next(&spec));
+  EXPECT_DEATH(stream.Next(&spec), "trace arrivals must not decrease");
+}
+
 }  // namespace
 }  // namespace flexpipe
