@@ -25,7 +25,7 @@ PipelineInstance::PipelineInstance(Simulation* sim, int id, const PipelinePlan& 
           /*kv_bytes_per_token_per_stage=*/
           cost_model->KvBytesPerToken(plan.spec, 1.0 / std::max(1, plan.num_stages()))) {
   FLEXPIPE_CHECK(sim_ != nullptr && cost_model_ != nullptr && network_ != nullptr);
-  FLEXPIPE_CHECK(plan_.num_stages() >= 1);
+  FLEXPIPE_CHECK(plan_.num_stages() >= 1 && config_.per_group_capacity >= 1);
   FLEXPIPE_CHECK_MSG(static_cast<int>(gpus_.size()) == plan_.num_stages(),
                      "one GPU per pipeline stage");
   FLEXPIPE_CHECK_MSG(plan_.MaxStageParams() <= config_.gpu_memory,
@@ -37,10 +37,7 @@ PipelineInstance::PipelineInstance(Simulation* sim, int id, const PipelinePlan& 
   TimeNs overhead = FromMillis(cost_model_->config().per_stage_overhead_ms);
 
   stages_.resize(static_cast<size_t>(plan_.num_stages()));
-  stage_busy_until_.assign(stages_.size(), 0);
-  stage_busy_accum_.assign(stages_.size(), 0);
-  stage_busy_base_accum_.assign(stages_.size(), 0);
-  stage_stall_accum_.assign(stages_.size(), 0);
+  clocks_.resize(stages_.size());
   for (int s = 0; s < plan_.num_stages(); ++s) {
     const StagePlan& sp = plan_.stages[static_cast<size_t>(s)];
     StageConfig& rt = stages_[static_cast<size_t>(s)];
@@ -62,6 +59,12 @@ PipelineInstance::PipelineInstance(Simulation* sim, int id, const PipelinePlan& 
       rt.comm_nic = tier == LinkTier::kIntraRack || tier == LinkTier::kInterRack;
     }
   }
+  const size_t rows = static_cast<size_t>(config_.per_group_capacity) + 1;
+  decode_rows_.resize(rows * stages_.size());
+  for (size_t b = 0; b < rows; ++b) {
+    FillRow(0, static_cast<int>(b), &decode_rows_[b * stages_.size()]);
+  }
+  scratch_row_.resize(stages_.size());
   groups_.resize(config_.pipelined ? static_cast<size_t>(plan_.num_stages()) : 1);
 }
 
@@ -102,8 +105,8 @@ void PipelineInstance::ActivateNow() {
   state_ = InstanceState::kActive;
   activated_at_ = sim_->now();
   last_all_idle_ = sim_->now();
-  for (TimeNs& busy_until : stage_busy_until_) {
-    busy_until = sim_->now();
+  for (StageClock& clock : clocks_) {
+    clock.busy_until = sim_->now();
   }
   for (const auto& callback : on_activate_) {
     callback();
@@ -293,34 +296,11 @@ TimeNs PipelineInstance::StageCommTime(size_t stage, int prefill_tokens,
   return cfg.comm_latency + TransferTime(bytes, cfg.comm_bandwidth);
 }
 
-TimeNs PipelineInstance::DecodeIterationTime(size_t stage, int decode_batch) const {
-  if (decode_batch < 0 || decode_batch > config_.per_group_capacity) {
-    return StageIterationTime(stage, 0, decode_batch);  // InjectDecoding can overfill
+void PipelineInstance::FillRow(int prefill_tokens, int decode_batch, StageTiming* row) const {
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    row[s].compute = StageIterationTime(s, prefill_tokens, decode_batch);
+    row[s].comm = s + 1 < stages_.size() ? StageCommTime(s, prefill_tokens, decode_batch) : 0;
   }
-  const size_t stride = static_cast<size_t>(config_.per_group_capacity) + 1;
-  if (decode_cache_.empty()) {
-    decode_cache_.assign(stages_.size() * stride, {-1, -1});
-  }
-  TimeNs& slot = decode_cache_[stage * stride + static_cast<size_t>(decode_batch)].first;
-  if (slot < 0) {
-    slot = StageIterationTime(stage, 0, decode_batch);
-  }
-  return slot;
-}
-
-TimeNs PipelineInstance::DecodeCommTime(size_t stage, int decode_batch) const {
-  if (decode_batch < 0 || decode_batch > config_.per_group_capacity) {
-    return StageCommTime(stage, 0, decode_batch);
-  }
-  const size_t stride = static_cast<size_t>(config_.per_group_capacity) + 1;
-  if (decode_cache_.empty()) {
-    decode_cache_.assign(stages_.size() * stride, {-1, -1});
-  }
-  TimeNs& slot = decode_cache_[stage * stride + static_cast<size_t>(decode_batch)].second;
-  if (slot < 0) {
-    slot = StageCommTime(stage, 0, decode_batch);
-  }
-  return slot;
 }
 
 void PipelineInstance::AdmitFromPending(Group& group) {
@@ -382,61 +362,62 @@ void PipelineInstance::TryStart(size_t group_index) {
   }
   int decode_batch = static_cast<int>(group.wave_decode_count);
 
+  // Pure-decode waves read their row of the table; any other wave shape gets its row
+  // computed into the scratch row first.
+  const StageTiming* row;
+  if (prefill_tokens == 0 && decode_batch <= config_.per_group_capacity) {
+    row = DecodeRow(decode_batch);
+  } else {
+    FillRow(prefill_tokens, decode_batch, scratch_row_.data());
+    row = scratch_row_.data();
+  }
+
   TimeNs t = sim_->now();
-  TimeNs start0 = -1;
+  const TimeNs start0 = std::max(t, clocks_[0].busy_until);
   TimeNs exec_total = 0;
   TimeNs comm_total = 0;
   // Stall cycles (§3.3): stage idle gaps count as stalls only while a backlog exists —
   // bubbles with work waiting are lost capacity; bubbles without backlog are just the
   // pipeline's natural fill/drain behaviour.
   const bool backlog = !pending_.empty();
-  const size_t num_stages = stages_.size();
-  // Fail-slow degradation is applied at use time, never baked into the memoized
-  // decode cache: the cache keeps the healthy profile (what the controller believes)
-  // and a degraded server stretches each wave here, so a throttle that clears stops
-  // being priced on the very next wave. One flag check on the healthy path.
+  // Fail-slow degradation is applied here, never baked into the rows: the rows keep the
+  // healthy profile (what the controller believes) and a degraded server stretches each
+  // wave as it runs, so a throttle that clears stops being priced on the very next wave.
   const Cluster* cluster = network_->cluster();
   const bool degraded = cluster->AnyDegraded();
-  for (size_t s = 0; s < num_stages; ++s) {
-    const TimeNs busy_until = stage_busy_until_[s];
-    TimeNs start = std::max(t, busy_until);
-    if (s == 0) {
-      start0 = start;
+  for (size_t s = 0; s < clocks_.size(); ++s) {
+    StageClock& clock = clocks_[s];
+    const TimeNs start = std::max(t, clock.busy_until);
+    if (backlog && start > clock.busy_until && clock.busy_until >= last_all_idle_) {
+      clock.stall_accum += start - clock.busy_until;
     }
-    if (backlog && start > busy_until && busy_until >= last_all_idle_) {
-      stage_stall_accum_[s] += start - busy_until;
-    }
-    TimeNs st = prefill_tokens == 0 ? DecodeIterationTime(s, decode_batch)
-                                    : StageIterationTime(s, prefill_tokens, decode_batch);
-    stage_busy_base_accum_[s] += st;
+    TimeNs st = row[s].compute;
+    TimeNs c = row[s].comm;
+    clock.base_accum += st;
     if (degraded) {
-      double perf = cluster->ServerPerf(stages_[s].server);
+      const StageConfig& cfg = stages_[s];
+      double perf = cluster->ServerPerf(cfg.server);
       if (perf != 1.0) {
         st = static_cast<TimeNs>(static_cast<double>(st) / perf);
       }
-    }
-    stage_busy_until_[s] = start + st;
-    stage_busy_accum_[s] += st;
-    exec_total += st;
-    t = start + st;
-    if (s + 1 < num_stages) {
-      TimeNs c = prefill_tokens == 0 ? DecodeCommTime(s, decode_batch)
-                                     : StageCommTime(s, prefill_tokens, decode_batch);
-      if (degraded && stages_[s].comm_nic) {
-        double link = std::min(cluster->ServerLinkFactor(stages_[s].server),
-                               cluster->ServerLinkFactor(stages_[s].next_server));
+      if (cfg.comm_nic) {
+        double link = std::min(cluster->ServerLinkFactor(cfg.server),
+                               cluster->ServerLinkFactor(cfg.next_server));
         if (link != 1.0) {
           TimeNs healthy_c = c;
           c = static_cast<TimeNs>(static_cast<double>(c) / link);
-          // The stretch is charged to this stage's *observed* busy time (its NIC is
-          // the bottleneck) and never to the base, so the health monitor's
-          // observed/base ratio sees sick links as well as sick SMs.
-          stage_busy_accum_[s] += c - healthy_c;
+          // The stretch is charged to this stage's *observed* busy time (its NIC is the
+          // bottleneck) and never to the base, so the health monitor's observed/base
+          // ratio sees sick links as well as sick SMs.
+          clock.busy_accum += c - healthy_c;
         }
       }
-      t += c;
-      comm_total += c;
     }
+    clock.busy_until = start + st;
+    clock.busy_accum += st;
+    exec_total += st;
+    comm_total += c;
+    t = start + st + c;
   }
 
   for (Request* r : group.wave_prefilling) {
@@ -538,36 +519,37 @@ void PipelineInstance::NoteMaybeIdle() {
 }
 
 TimeNs PipelineInstance::EstimateTraversal(int group_batch) const {
+  FLEXPIPE_CHECK(group_batch >= 0 && group_batch <= config_.per_group_capacity);
+  const StageTiming* row = DecodeRow(group_batch);
   TimeNs total = 0;
   for (size_t s = 0; s < stages_.size(); ++s) {
-    total += DecodeIterationTime(s, group_batch);
-    if (s + 1 < stages_.size()) {
-      total += DecodeCommTime(s, group_batch);
-    }
+    total += row[s].compute + row[s].comm;
   }
   return total;
 }
 
 TimeNs PipelineInstance::EstimateCadence(int group_batch) const {
+  FLEXPIPE_CHECK(group_batch >= 0 && group_batch <= config_.per_group_capacity);
+  const StageTiming* row = DecodeRow(group_batch);
   TimeNs worst = 0;
   for (size_t s = 0; s < stages_.size(); ++s) {
-    worst = std::max(worst, DecodeIterationTime(s, group_batch));
+    worst = std::max(worst, row[s].compute);
   }
   return worst;
 }
 
 TimeNs PipelineInstance::TotalStall() const {
   TimeNs total = 0;
-  for (TimeNs stall : stage_stall_accum_) {
-    total += stall;
+  for (const StageClock& clock : clocks_) {
+    total += clock.stall_accum;
   }
   return total;
 }
 
 TimeNs PipelineInstance::TotalBusy() const {
   TimeNs total = 0;
-  for (TimeNs busy : stage_busy_accum_) {
-    total += busy;
+  for (const StageClock& clock : clocks_) {
+    total += clock.busy_accum;
   }
   return total;
 }

@@ -155,10 +155,10 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
   // straggler signal the health monitor watches — exactly 1.0 on a healthy fleet, so a
   // deterministic zero-false-positive baseline.
   TimeNs StageBusyObserved(int stage) const {
-    return stage_busy_accum_[static_cast<size_t>(stage)];
+    return clocks_[static_cast<size_t>(stage)].busy_accum;
   }
   TimeNs StageBusyBase(int stage) const {
-    return stage_busy_base_accum_[static_cast<size_t>(stage)];
+    return clocks_[static_cast<size_t>(stage)].base_accum;
   }
   ServerId StageServer(int stage) const {
     return stages_[static_cast<size_t>(stage)].server;
@@ -173,10 +173,9 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
   TimeNs activated_at() const { return activated_at_; }
 
  private:
-  // Per-stage cold configuration, written once at construction. The per-wave hot
-  // state (busy_until / busy_accum / stall_accum) lives in packed parallel arrays
-  // below so TryStart/FinishIteration walk dense memory instead of striding over
-  // this config (SoA split of the former StageRuntime struct).
+  // Per-stage cold configuration, written once at construction. Waves never read it
+  // on the healthy path: its timing is baked into the rows below, and only a degraded
+  // cluster makes TryStart look up the stage's servers.
   struct StageConfig {
     GpuId gpu = kInvalidGpu;
     // Hosting server (and the next stage's), resolved once so the fail-slow hot path
@@ -191,6 +190,22 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
     Bytes decode_act_per_req = 0;
     TimeNs comm_latency = 0;       // to the next stage (unused on the last)
     BytesPerSec comm_bandwidth = 0.0;
+  };
+
+  // One stage's share of a wave at the healthy profile: compute, then the hop to the
+  // next stage (0 on the last stage, so a row sums to the wave's traversal time).
+  struct StageTiming {
+    TimeNs compute = 0;
+    TimeNs comm = 0;
+  };
+
+  // The per-stage state a wave reads and writes, packed so that one wave walks one
+  // contiguous array in step with its timing row.
+  struct StageClock {
+    TimeNs busy_until = 0;
+    TimeNs busy_accum = 0;   // observed: fail-slow stretch included
+    TimeNs base_accum = 0;   // at the healthy cost-model profile; see StageBusyBase
+    TimeNs stall_accum = 0;
   };
 
   struct Group {
@@ -210,9 +225,12 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
 
   TimeNs StageIterationTime(size_t stage, int prefill_tokens, int decode_batch) const;
   TimeNs StageCommTime(size_t stage, int prefill_tokens, int decode_batch) const;
-  // Cached wrappers for the decode-only (prefill_tokens == 0) case.
-  TimeNs DecodeIterationTime(size_t stage, int decode_batch) const;
-  TimeNs DecodeCommTime(size_t stage, int decode_batch) const;
+  // Writes the timing row (one entry per stage) of a wave with the given shape.
+  void FillRow(int prefill_tokens, int decode_batch, StageTiming* row) const;
+  // Row of a pure-decode wave; 0 <= decode_batch <= per_group_capacity.
+  const StageTiming* DecodeRow(int decode_batch) const {
+    return &decode_rows_[static_cast<size_t>(decode_batch) * stages_.size()];
+  }
 
   void PumpGroups();
   void TryStart(size_t group_index);
@@ -237,20 +255,16 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
   TimeNs activated_at_ = -1;
 
   std::vector<StageConfig> stages_;
-  // Hot per-stage wave state, SoA: the decode-only wave loop touches exactly these
-  // arrays plus the flat decode cache, all packed and indexed by stage.
-  std::vector<TimeNs> stage_busy_until_;
-  std::vector<TimeNs> stage_busy_accum_;
-  // Busy time at the healthy cost-model profile (== busy_accum_ unless the stage's
-  // server is degraded); see StageBusyBase.
-  std::vector<TimeNs> stage_busy_base_accum_;
-  std::vector<TimeNs> stage_stall_accum_;
-  // Lazily-filled decode-only {iteration, comm} times, one flat array indexed
-  // [stage * (per_group_capacity + 1) + batch] (-1 = unset; pairs so a wave's paired
-  // lookups share a cache line). Pure-decode waves dominate the event stream and their
-  // cost depends only on the batch, so the arithmetic runs once per (stage, batch);
-  // mixed prefill waves carry per-request token counts and stay on the arithmetic path.
-  mutable std::vector<std::pair<TimeNs, TimeNs>> decode_cache_;
+  std::vector<StageClock> clocks_;
+  // Batch-major decode table, filled at construction: row b (b = 0..per_group_capacity)
+  // is the S stage timings of a pure-decode wave of batch b, at [b * S, (b + 1) * S).
+  // Pure-decode waves dominate the event stream and their timing depends only on the
+  // batch, so each one reads a single contiguous row.
+  std::vector<StageTiming> decode_rows_;
+  // Row of the current wave when the table has none: mixed prefill+decode waves (their
+  // cost depends on per-request prompt lengths) and groups InjectDecoding overfilled
+  // past per_group_capacity.
+  std::vector<StageTiming> scratch_row_;
   std::vector<Group> groups_;
   int busy_groups_ = 0;  // count of groups with a wave in flight (== AnyGroupBusy())
   std::deque<Request*> pending_;

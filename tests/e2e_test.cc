@@ -393,17 +393,21 @@ TEST(EndToEnd, MigrationPreservesTokenProgress) {
   config.control_interval = 250 * kMillisecond;
   FlexPipeSystem system(env.Context(), &env.ladder(0), config);
 
+  // A stable phase long enough to settle, then a burst long enough to trigger a refactor
+  // while requests are mid-decode.
   WorkloadGenerator gen;
-  Rng rng(13);
-  auto stable = gen.GenerateWithCv(rng, 4.0, 0.5, 30 * kSecond);
-  auto bursty = gen.GenerateWithCv(rng, 8.0, 6.0, 40 * kSecond);
+  Rng rng(5);
+  auto stable = gen.GenerateWithCv(rng, 4.0, 0.5, 40 * kSecond);
+  auto bursty = gen.GenerateWithCv(rng, 8.0, 6.0, 60 * kSecond);
   for (auto& spec : bursty) {
-    spec.arrival += 30 * kSecond;
+    spec.arrival += 40 * kSecond;
   }
   auto specs = MergeWorkloads({stable, bursty});
   VectorRequestStream stream(specs);
   RunStreamingWorkload(env, system, stream, RunOptions{.drain_grace = 180 * kSecond});
 
+  EXPECT_GT(system.refactor_count(), 0) << "no refactor: nothing migrated";
+  EXPECT_GT(system.kv_migrated_bytes(), 0) << "the refactor carried no decoding request";
   // MetricsCollector::OnComplete checks every completion's token count and timestamps,
   // so reaching here means every completed request kept its progress.
   EXPECT_GE(system.metrics().completed(), static_cast<int64_t>(specs.size()) * 8 / 10);

@@ -207,9 +207,24 @@ class InstanceTest : public ::testing::Test {
     return out;
   }
 
+  // The first GPU of each of the first n servers: every hop crosses a NIC.
+  std::vector<GpuId> OneGpuPerServer(int n) {
+    std::vector<GpuId> out;
+    for (GpuId id = 0; id < cluster_.gpu_count() && static_cast<int>(out.size()) < n; ++id) {
+      if (out.empty() || cluster_.ServerOf(id) != cluster_.ServerOf(out.back())) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }
+
   std::unique_ptr<PipelineInstance> MakeActiveInstance(int stages,
-                                                       InstanceConfig config = InstanceConfig{}) {
-    auto inst = std::make_unique<PipelineInstance>(&sim_, 1, MakePlan(stages), PickGpus(stages),
+                                                       InstanceConfig config = InstanceConfig{},
+                                                       std::vector<GpuId> gpus = {}) {
+    if (gpus.empty()) {
+      gpus = PickGpus(stages);
+    }
+    auto inst = std::make_unique<PipelineInstance>(&sim_, 1, MakePlan(stages), std::move(gpus),
                                                    &cost_, &network_, config);
     inst->BeginLoading({});
     sim_.RunUntil(inst->load_finish_time() + kMillisecond);
@@ -427,6 +442,169 @@ TEST_F(InstanceTest, EstimatesAreMonotone) {
   // Bigger batches never reduce traversal time.
   EXPECT_GE(fine->EstimateTraversal(32), fine->EstimateTraversal(1));
   EXPECT_GT(fine->EstimateCadence(8), 0);
+}
+
+// ---------- Wave timing rows ----------
+
+TEST_F(InstanceTest, LoneDecodeWaveCostsOneTraversal) {
+  auto inst = MakeActiveInstance(4);
+  Request r = MakeRequest(1, 128, 2);
+  inst->Admit(&r);  // the prompt wave is charged as it starts
+  TimeNs after_prefill = r.exec_ns + r.comm_ns;
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(r.done());
+  // The second (and last) wave is a batch-1 decode wave: exactly the table's row.
+  EXPECT_EQ(r.exec_ns + r.comm_ns - after_prefill, inst->EstimateTraversal(1));
+}
+
+TEST_F(InstanceTest, OverfilledDecodeWaveMatchesRowArithmetic) {
+  // per_group_capacity 2 with one group: three injected decoders overfill it, so the
+  // wave has no row in the table and runs on the scratch row.
+  InstanceConfig small;
+  small.per_group_capacity = 2;
+  small.pipelined = false;
+  auto inst = std::make_unique<PipelineInstance>(&sim_, 1, MakePlan(3), PickGpus(3), &cost_,
+                                                 &network_, small);
+  inst->BeginLoading({});
+  std::vector<Request> reqs;
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(MakeRequest(static_cast<RequestId>(i + 1), 64, 2));
+    reqs.back().phase = RequestPhase::kDecoding;
+    reqs.back().tokens_generated = 1;
+  }
+  for (Request& r : reqs) {
+    inst->InjectDecoding(&r);  // still loading: no wave starts until all three joined
+  }
+  sim_.RunUntilIdle();
+
+  // The same plan and GPUs with room for three in the table give the reference row.
+  InstanceConfig roomy = small;
+  roomy.per_group_capacity = 3;
+  auto reference = MakeActiveInstance(3, roomy);
+  for (const Request& r : reqs) {
+    ASSERT_TRUE(r.done());
+    EXPECT_EQ(r.exec_ns + r.comm_ns, reference->EstimateTraversal(3));
+  }
+}
+
+TEST_F(InstanceTest, MixedPrefillWaveChargesPromptTokens) {
+  // Decode-only batch-1 compute, measured on a lone request's decode wave.
+  auto probe = MakeActiveInstance(4);
+  Request lone = MakeRequest(1, 64, 2);
+  probe->Admit(&lone);
+  TimeNs prefill_exec = lone.exec_ns;
+  sim_.RunUntilIdle();
+  const TimeNs decode_exec = lone.exec_ns - prefill_exec;
+
+  // One group: a request admitted while the group is mid-wave joins the next wave as
+  // prompt work alongside the decoding request.
+  InstanceConfig sequential;
+  sequential.pipelined = false;
+  auto inst = MakeActiveInstance(4, sequential);
+  Request decoder = MakeRequest(2, 64, 400);
+  inst->Admit(&decoder);
+  sim_.RunUntil(sim_.now() + kSecond);
+  ASSERT_EQ(decoder.phase, RequestPhase::kDecoding);
+  constexpr int kPrompt = 512;
+  Request joiner = MakeRequest(3, kPrompt, 1);  // done after its prompt wave
+  inst->Admit(&joiner);
+  EXPECT_EQ(joiner.exec_ns, 0);  // queued behind the in-flight wave
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(joiner.done());
+
+  // With no compute dilation every stage's prompt compute is exact integer arithmetic.
+  TimeNs prompt_per_token = 0;
+  for (const StagePlan& stage : inst->plan().stages) {
+    prompt_per_token += stage.compute_time / inst->plan().spec.context_window;
+  }
+  ASSERT_GT(prompt_per_token, 0);
+  EXPECT_EQ(joiner.exec_ns, decode_exec + kPrompt * prompt_per_token);
+  EXPECT_GT(joiner.exec_ns + joiner.comm_ns, inst->EstimateTraversal(1));
+}
+
+// ---------- Fail-slow stretch in the wave loop ----------
+
+TEST_F(InstanceTest, HealthyClusterObservedBusyEqualsBase) {
+  auto inst = MakeActiveInstance(4);
+  std::vector<Request> reqs;
+  reqs.reserve(16);
+  for (int i = 0; i < 16; ++i) {
+    reqs.push_back(MakeRequest(static_cast<RequestId>(i + 1), 96, 12));
+    inst->Admit(&reqs.back());
+  }
+  sim_.RunUntilIdle();
+  for (int s = 0; s < inst->num_stages(); ++s) {
+    EXPECT_GT(inst->StageBusyBase(s), 0) << s;
+    EXPECT_EQ(inst->StageBusyObserved(s), inst->StageBusyBase(s)) << s;
+  }
+}
+
+TEST_F(InstanceTest, SlowServerStretchesOnlyItsStage) {
+  auto inst = MakeActiveInstance(4, InstanceConfig{}, OneGpuPerServer(4));
+  ASSERT_NE(inst->StageServer(1), inst->StageServer(0));
+  ASSERT_NE(inst->StageServer(1), inst->StageServer(2));
+  cluster_.SetServerPerf(inst->StageServer(1), 0.5);
+  Request r = MakeRequest(1, 64, 24);
+  inst->Admit(&r);
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(r.done());
+  // Half speed doubles the stage's compute exactly; the base keeps the healthy profile.
+  EXPECT_EQ(inst->StageBusyObserved(1), 2 * inst->StageBusyBase(1));
+  for (int s : {0, 2, 3}) {
+    EXPECT_EQ(inst->StageBusyObserved(s), inst->StageBusyBase(s)) << s;
+  }
+}
+
+TEST_F(InstanceTest, SlowLinkStretchChargedToSenderAndRequestComm) {
+  auto healthy = MakeActiveInstance(4, InstanceConfig{}, OneGpuPerServer(4));
+  const std::vector<GpuId>& gpus = healthy->gpus();
+  for (size_t s = 0; s + 1 < gpus.size(); ++s) {
+    LinkTier tier = network_.TierBetween(gpus[s], gpus[s + 1]);
+    ASSERT_TRUE(tier == LinkTier::kIntraRack || tier == LinkTier::kInterRack) << s;
+  }
+  Request h = MakeRequest(1, 64, 24);
+  healthy->Admit(&h);
+  sim_.RunUntilIdle();
+
+  // Stage 1's server sits on both NIC hops 0->1 and 1->2; each sender pays its hop.
+  cluster_.SetServerLinkFactor(healthy->StageServer(1), 0.5);
+  auto slow = MakeActiveInstance(4, InstanceConfig{}, OneGpuPerServer(4));
+  Request d = MakeRequest(2, 64, 24);
+  slow->Admit(&d);
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(h.done() && d.done());
+
+  TimeNs stretch = 0;
+  for (int s = 0; s < slow->num_stages(); ++s) {
+    EXPECT_EQ(slow->StageBusyBase(s), healthy->StageBusyBase(s)) << s;
+    stretch += slow->StageBusyObserved(s) - slow->StageBusyBase(s);
+  }
+  EXPECT_GT(slow->StageBusyObserved(0), slow->StageBusyBase(0));
+  EXPECT_GT(slow->StageBusyObserved(1), slow->StageBusyBase(1));
+  EXPECT_EQ(slow->StageBusyObserved(2), slow->StageBusyBase(2));
+  EXPECT_EQ(slow->StageBusyObserved(3), slow->StageBusyBase(3));
+  EXPECT_EQ(d.exec_ns, h.exec_ns);
+  EXPECT_EQ(d.comm_ns, h.comm_ns + stretch);
+}
+
+TEST_F(InstanceTest, RestoredServerStopsStretchOnNextWave) {
+  auto inst = MakeActiveInstance(4, InstanceConfig{}, OneGpuPerServer(4));
+  const ServerId server = inst->StageServer(1);
+  cluster_.SetServerPerf(server, 0.5);
+  Request r = MakeRequest(1, 64, 400);
+  inst->Admit(&r);
+  sim_.RunUntil(sim_.now() + kSecond);
+  ASSERT_FALSE(r.done());
+  const TimeNs gap = inst->StageBusyObserved(1) - inst->StageBusyBase(1);
+  const TimeNs base = inst->StageBusyBase(1);
+  ASSERT_GT(gap, 0);
+
+  // The wave in flight was priced when it started; every later wave is healthy.
+  cluster_.SetServerPerf(server, 1.0);
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(r.done());
+  EXPECT_GT(inst->StageBusyBase(1), base);
+  EXPECT_EQ(inst->StageBusyObserved(1) - inst->StageBusyBase(1), gap);
 }
 
 // ---------- Router ----------
