@@ -124,7 +124,7 @@ int Run(BenchReporter& reporter) {
   table.AddRow({"peak live requests", std::to_string(report.peak_live_requests)});
   table.AddRow({"peak event-arena slots", std::to_string(arena_slots)});
   table.AddRow({"arena slot budget", std::to_string(params.arena_slot_budget)});
-  table.AddRow({"peak reserved GPUs", std::to_string(system->peak_reserved_gpus())});
+  table.AddRow({"peak reserved stage slots", std::to_string(system->peak_reserved_gpus())});
   table.AddRow({"process max RSS (MiB)", TextTable::Num(MaxRssMiB(), 1)});
   table.Print();
 

@@ -152,7 +152,8 @@ ArmResult ServingArm(const StressParams& params) {
   result.rows.push_back({"executed events", TextTable::Num(executed, 0)});
   result.rows.push_back({"run wall time (s)", TextTable::Num(wall.count(), 2)});
   result.rows.push_back({"events/sec", TextTable::Num(events_per_sec, 0)});
-  result.rows.push_back({"peak reserved GPUs", std::to_string(system->peak_reserved_gpus())});
+  result.rows.push_back(
+      {"peak reserved stage slots", std::to_string(system->peak_reserved_gpus())});
   result.rows.push_back({"peak live requests", std::to_string(report.peak_live_requests)});
   result.rows.push_back({"peak event-arena slots", std::to_string(env.sim().arena_slots())});
 

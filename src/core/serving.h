@@ -95,6 +95,9 @@ class FLEXPIPE_THREAD_HOSTILE ServingSystemBase {
   }
 
   // -- Fleet/resource statistics (Fig. 12, §9.6) ---------------------------------------
+  // Both counts are pipeline stage slots, not distinct GPUs: every deployed stage
+  // counts once, and several stages can share one GPU, so the peak can exceed the
+  // cluster's GPU count.
   int reserved_gpu_count() const { return reserved_gpus_; }
   int peak_reserved_gpus() const { return peak_reserved_gpus_; }
   // ∫ reserved-GPU dt in GPU-seconds up to `now`.

@@ -22,46 +22,28 @@ std::vector<std::pair<int, int>> Partitioner::SolveChain(const std::vector<Item>
   const int n = static_cast<int>(items.size());
   FLEXPIPE_CHECK(groups >= 1);
   FLEXPIPE_CHECK_MSG(groups <= n, "more stages than partitionable units");
+  // Preconditions of the cost bound below (see partitioner.h).
+  FLEXPIPE_CHECK(config_.interstage_bandwidth > 0 && config_.load_weight >= 0);
 
   // Prefix sums make any [j, i) group's compute/parameter totals O(1). Integer sums, so
   // the differences are exact — group costs are bit-identical to direct accumulation.
   std::vector<TimeNs> prefix_compute(static_cast<size_t>(n + 1), 0);
   std::vector<Bytes> prefix_params(static_cast<size_t>(n + 1), 0);
   for (int i = 0; i < n; ++i) {
+    const Item& item = items[static_cast<size_t>(i)];
+    FLEXPIPE_CHECK(item.compute >= 0 && item.params >= 0);
     prefix_compute[static_cast<size_t>(i + 1)] =
-        prefix_compute[static_cast<size_t>(i)] + items[static_cast<size_t>(i)].compute;
-    prefix_params[static_cast<size_t>(i + 1)] =
-        prefix_params[static_cast<size_t>(i)] + items[static_cast<size_t>(i)].params;
+        prefix_compute[static_cast<size_t>(i)] + item.compute;
+    prefix_params[static_cast<size_t>(i + 1)] = prefix_params[static_cast<size_t>(i)] + item.params;
   }
   double mean_cost = static_cast<double>(prefix_compute[static_cast<size_t>(n)]) / groups;
-
-  // Eq. 2's per-group cost for [begin, end); the caller has already established the
-  // memory cap holds. Matches the pre-optimization GroupCost arithmetic exactly.
-  auto group_cost = [&](int begin, int end, Bytes params) {
-    TimeNs compute = prefix_compute[static_cast<size_t>(end)] -
-                     prefix_compute[static_cast<size_t>(begin)];
-    const Item& last = items[static_cast<size_t>(end - 1)];
-    double cost = static_cast<double>(compute);
-    // Communication of the stage's output activation to its successor.
-    cost +=
-        static_cast<double>(TransferTime(last.activation_out, config_.interstage_bandwidth));
-    // (s_p / B - C)+ : parameter (re)load cost beyond what overlaps with compute.
-    double load_ns = static_cast<double>(params) / config_.interstage_bandwidth * 1e9;
-    double overlap_ns = static_cast<double>(config_.overlap_target);
-    cost += config_.load_weight * std::max(0.0, load_ns - overlap_ns);
-    // λ R(S_k): penalise cuts that land inside a transformer block.
-    if (!last.clean_boundary) {
-      cost += config_.lambda_refactor * mean_cost;
-    }
-    return cost;
-  };
+  const double overlap_ns = static_cast<double>(config_.overlap_target);
 
   // dp[k][i]: minimal max-group-cost splitting items [0, i) into k groups. The inner
-  // split-point loop runs j *descending* so the group [j, i) grows as it proceeds: its
-  // parameter total is monotonically non-decreasing, and the first cap violation ends
-  // the scan — O(G·n²) overall instead of the old O(G·n³). Accepting ties with <=
-  // leaves the smallest feasible j as the recorded parent, exactly like the old
-  // ascending strict-< scan, so returned plans are identical.
+  // split-point loop runs j *descending*, so the group [j, i) only grows and two exact
+  // breaks end the scan: the memory cap and the cost bound (see partitioner.h).
+  // Accepting ties with <= leaves the smallest feasible j as the recorded parent,
+  // exactly like the naive ascending strict-< scan, so returned plans are identical.
   std::vector<std::vector<double>> dp(static_cast<size_t>(groups + 1),
                                       std::vector<double>(static_cast<size_t>(n + 1), kInfeasible));
   std::vector<std::vector<int>> parent(static_cast<size_t>(groups + 1),
@@ -72,18 +54,35 @@ std::vector<std::pair<int, int>> Partitioner::SolveChain(const std::vector<Item>
     std::vector<double>& cur = dp[static_cast<size_t>(k)];
     std::vector<int>& par = parent[static_cast<size_t>(k)];
     for (int i = k; i <= n - (groups - k); ++i) {
+      // Eq. 2's terms fixed by the group's last item: the output activation's transfer
+      // to the successor, and λ R(S_k) for a cut inside a transformer block.
+      const Item& last = items[static_cast<size_t>(i - 1)];
+      const double transfer =
+          static_cast<double>(TransferTime(last.activation_out, config_.interstage_bandwidth));
+      const double refactor_penalty =
+          last.clean_boundary ? 0.0 : config_.lambda_refactor * mean_cost;
       double best = kInfeasible;
       int best_j = -1;
       for (int j = i - 1; j >= k - 1; --j) {
+        if (prev[static_cast<size_t>(j)] == kInfeasible) {
+          continue;
+        }
         Bytes params =
             prefix_params[static_cast<size_t>(i)] - prefix_params[static_cast<size_t>(j)];
         if (params > config_.gpu_memory) {
           break;  // params only grow as j decreases: nothing below j is feasible either
         }
-        if (prev[static_cast<size_t>(j)] == kInfeasible) {
-          continue;
+        double cost = static_cast<double>(prefix_compute[static_cast<size_t>(i)] -
+                                          prefix_compute[static_cast<size_t>(j)]);
+        cost += transfer;
+        // (s_p / B - C)+ : parameter (re)load cost beyond what overlaps with compute.
+        double load_ns = static_cast<double>(params) / config_.interstage_bandwidth * 1e9;
+        cost += config_.load_weight * std::max(0.0, load_ns - overlap_ns);
+        cost += refactor_penalty;
+        if (cost > best) {
+          break;  // the group cost only grows as j decreases: no smaller j ties best
         }
-        double candidate = std::max(prev[static_cast<size_t>(j)], group_cost(j, i, params));
+        double candidate = std::max(prev[static_cast<size_t>(j)], cost);
         if (candidate <= best) {
           best = candidate;
           best_j = j;

@@ -60,9 +60,17 @@ class FLEXPIPE_THREAD_COMPATIBLE Partitioner {
 
   // Shared min-max DP over a chain of items: tiles the chain into exactly `groups`
   // contiguous [begin, end) ranges minimizing the bottleneck group cost; empty result
-  // when the memory cap admits no tiling. Prefix sums plus a monotone early break keep
-  // it O(groups·n²); the randomized equivalence suite pins it to the naive O(groups·n³)
-  // reference DP. Public so tests can cross-check it on synthetic chains directly.
+  // when the memory cap admits no tiling. Public so tests can cross-check it against
+  // the naive O(groups·n³) reference DP on synthetic and real chains.
+  //
+  // Exact cost bound: for a fixed end i, the group cost c(j, i) never decreases as the
+  // split point j decreases. Compute and params only grow; the last item's transfer
+  // time and the refactor penalty do not depend on j; and IEEE addition, max(0, ·) and
+  // multiplication by a non-negative weight are all monotone. So the scan over j
+  // (descending) stops at the first c(j, i) above the best candidate so far: no smaller
+  // j can beat or tie it. Together with the memory-cap break, most split points are
+  // never priced. Preconditions, CHECKed: every item has compute >= 0 and params >= 0,
+  // interstage_bandwidth > 0 and load_weight >= 0.
   std::vector<std::pair<int, int>> SolveChain(const std::vector<Item>& items, int groups) const;
 
  private:

@@ -283,6 +283,110 @@ TEST(Partitioner, SolveChainMatchesNaiveReferenceOnRandomChains) {
   EXPECT_GT(infeasible_cases, 20);
 }
 
+// Exact ties are where the cost-bound break and the smallest-j tie rule can go wrong,
+// and random costs almost never produce them. Chains built from a two- or three-value
+// palette with zero activations tie constantly: many split points price to the same
+// group cost and the same bottleneck.
+TEST(Partitioner, SolveChainMatchesNaiveReferenceOnTieHeavyChains) {
+  std::mt19937_64 rng(20261017);
+  enum class Boundaries { kAllClean, kAllUnclean, kAlternating };
+  int feasible_cases = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::uniform_int_distribution<int> n_dist(2, 48);
+    const int n = n_dist(rng);
+    std::uniform_int_distribution<int> g_dist(1, std::min(n, 12));
+    const int groups = g_dist(rng);
+    const auto boundaries = static_cast<Boundaries>(trial % 3);
+
+    PartitionerConfig config;
+    std::uniform_int_distribution<Bytes> mem_dist(GiB(4), GiB(40));
+    config.gpu_memory = mem_dist(rng);
+
+    // Equal compute on every item in half the trials, a small palette otherwise;
+    // parameters always from a palette of two or three sizes.
+    std::uniform_int_distribution<int> palette_dist(2, 3);
+    const int palette = palette_dist(rng);
+    const bool equal_compute = (trial / 3) % 2 == 0;
+    const std::vector<TimeNs> computes = {2 * kMillisecond, 4 * kMillisecond,
+                                          6 * kMillisecond};
+    const std::vector<Bytes> params = {GiB(1), GiB(2), MiB(512)};
+    std::uniform_int_distribution<int> pick(0, palette - 1);
+
+    std::vector<Partitioner::Item> items(static_cast<size_t>(n));
+    for (size_t i = 0; i < items.size(); ++i) {
+      Partitioner::Item& item = items[i];
+      item.compute = equal_compute ? computes[0] : computes[static_cast<size_t>(pick(rng))];
+      item.params = params[static_cast<size_t>(pick(rng))];
+      item.activation_out = 0;
+      item.clean_boundary = boundaries == Boundaries::kAllClean ||
+                            (boundaries == Boundaries::kAlternating && i % 2 == 0);
+    }
+
+    Partitioner partitioner(config);
+    auto fast = partitioner.SolveChain(items, groups);
+    auto reference = RefSolveChain(items, groups, config);
+    ASSERT_EQ(fast, reference) << "trial " << trial << " n=" << n << " groups=" << groups;
+    if (!fast.empty()) {
+      ++feasible_cases;
+    }
+  }
+  EXPECT_GT(feasible_cases, 150);
+}
+
+// The chains the simulator actually solves: each evaluation model's operator chain at
+// the finest granularity, then every coarser rung BuildLadder cuts from the finest
+// plan's stages. BuildLadder's plans must carry exactly the reference's ranges.
+TEST(Partitioner, SolveChainMatchesNaiveReferenceOnEvaluationModels) {
+  PartitionerConfig config;
+  Partitioner partitioner(config);
+  for (const ModelSpec& spec : EvaluationModels()) {
+    ModelProfile profile = MakeProfile(spec);
+    ComputationGraph graph = ComputationGraph::Build(spec);
+    std::vector<Partitioner::Item> ops(profile.ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      ops[i].compute = profile.ops[i].compute_time;
+      ops[i].params = profile.ops[i].param_bytes;
+      ops[i].activation_out = profile.ops[i].activation_bytes;
+      ops[i].clean_boundary = graph.ops()[i].block_boundary_after;
+    }
+    const int finest = config.ladder.back();
+    auto finest_groups = partitioner.SolveChain(ops, finest);
+    ASSERT_EQ(finest_groups, RefSolveChain(ops, finest, config)) << spec.name;
+    ASSERT_FALSE(finest_groups.empty()) << spec.name;
+
+    GranularityLadder ladder = partitioner.BuildLadder(profile);
+    const PipelinePlan& finest_plan = ladder.plans.at(finest);
+    ASSERT_EQ(finest_plan.num_stages(), finest);
+    std::vector<Partitioner::Item> stages(static_cast<size_t>(finest));
+    for (size_t s = 0; s < stages.size(); ++s) {
+      const StagePlan& stage = finest_plan.stages[s];
+      EXPECT_EQ(stage.op_begin, finest_groups[s].first) << spec.name;
+      EXPECT_EQ(stage.op_end, finest_groups[s].second) << spec.name;
+      stages[s].compute = stage.compute_time;
+      stages[s].params = stage.param_bytes;
+      stages[s].activation_out = stage.output_activation_bytes;
+      stages[s].clean_boundary = stage.clean_boundary;
+    }
+    for (int g : config.ladder) {
+      if (g == finest) {
+        continue;
+      }
+      auto reference = RefSolveChain(stages, g, config);
+      ASSERT_EQ(partitioner.SolveChain(stages, g), reference) << spec.name << " g=" << g;
+      ASSERT_EQ(ladder.plans.count(g), reference.empty() ? 0u : 1u) << spec.name << " g=" << g;
+      if (reference.empty()) {
+        continue;
+      }
+      const PipelinePlan& plan = ladder.plans.at(g);
+      ASSERT_EQ(plan.num_stages(), g);
+      for (size_t s = 0; s < reference.size(); ++s) {
+        EXPECT_EQ(plan.stages[s].fine_begin, reference[s].first) << spec.name << " g=" << g;
+        EXPECT_EQ(plan.stages[s].fine_end, reference[s].second) << spec.name << " g=" << g;
+      }
+    }
+  }
+}
+
 TEST(Partitioner, PlanDescribeIsHumanReadable) {
   ModelProfile profile = MakeProfile(Llama2_7B());
   Partitioner partitioner;
