@@ -44,15 +44,6 @@ AlpaServeSystem::AlpaServeSystem(const SystemContext& ctx,
   }
 }
 
-int AlpaServeSystem::planned_replicas_for(int model_id) const {
-  for (const auto& fleet : fleets_) {
-    if (fleet->config.model_id == model_id) {
-      return fleet->planned;
-    }
-  }
-  return 0;
-}
-
 void AlpaServeSystem::Start() {
   for (auto& fleet : fleets_) {
     if (fleet->config.replicas > 0) {

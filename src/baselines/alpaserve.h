@@ -47,7 +47,6 @@ class AlpaServeSystem : public ServingSystemBase {
 
   // First (or only) model's fleet plan — kept for the single-model benches.
   int planned_replicas() const { return fleets_.front()->planned; }
-  int planned_replicas_for(int model_id) const;
 
  private:
   struct ModelFleet {

@@ -19,14 +19,9 @@ std::vector<GpuId> ClusterAllocator::SelectGpus(const AllocationRequest& request
   }
 
   switch (request.policy) {
-    case PlacementPolicy::kWorstFit:
-      // GpusWithFreeMemory is already sorted by descending free memory.
-      break;
     case PlacementPolicy::kBestFit:
+      // GpusWithFreeMemory sorts by descending free memory.
       std::reverse(eligible.begin(), eligible.end());
-      break;
-    case PlacementPolicy::kFirstFit:
-      std::sort(eligible.begin(), eligible.end());
       break;
     case PlacementPolicy::kScatter:
       std::shuffle(eligible.begin(), eligible.end(), rng_.engine());
@@ -73,13 +68,6 @@ AllocationResult ClusterAllocator::Allocate(const AllocationRequest& request) {
                    config_.per_gpu_extra_s * static_cast<double>(request.gpu_count - 1);
   result.provisioning_delay = FromSeconds(delay_s);
   return result;
-}
-
-void ClusterAllocator::Release(const std::vector<GpuId>& gpus, Bytes bytes_per_gpu,
-                               double sm_per_gpu) {
-  for (GpuId id : gpus) {
-    cluster_->gpu(id).Release(bytes_per_gpu, sm_per_gpu);
-  }
 }
 
 }  // namespace flexpipe

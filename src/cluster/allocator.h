@@ -18,9 +18,7 @@
 namespace flexpipe {
 
 enum class PlacementPolicy : int {
-  kFirstFit = 0,   // lowest GPU id that fits
   kBestFit = 1,    // least free memory that still fits (packs tightly)
-  kWorstFit = 2,   // most free memory (spreads)
   kScatter = 3,    // random eligible GPU (serverless anti-affinity behaviour, §2.2)
 };
 
@@ -53,8 +51,6 @@ class FLEXPIPE_THREAD_HOSTILE ClusterAllocator {
   // Reserves memory on the selected GPUs immediately (so concurrent requests cannot
   // double-book) and reports the provisioning delay the caller must wait out.
   AllocationResult Allocate(const AllocationRequest& request);
-
-  void Release(const std::vector<GpuId>& gpus, Bytes bytes_per_gpu, double sm_per_gpu);
 
   // Statistics for the case-study bench.
   int64_t total_requests() const { return total_requests_; }

@@ -76,28 +76,9 @@ void NetworkModel::RemoveFlow(LinkTier tier) {
   --f;
 }
 
-int NetworkModel::active_flows(LinkTier tier) const { return flows_[static_cast<int>(tier)]; }
-
 BytesPerSec NetworkModel::EffectiveBandwidth(LinkTier tier) const {
   int sharers = std::max(1, flows_[static_cast<int>(tier)] + 1);
   return Bandwidth(tier) / static_cast<double>(sharers);
-}
-
-TimeNs NetworkModel::EstimateTransfer(GpuId src, GpuId dst, Bytes size) const {
-  LinkTier tier = TierBetween(src, dst);
-  if (tier == LinkTier::kSameGpu) {
-    return 0;
-  }
-  BytesPerSec bw = EffectiveBandwidth(tier);
-  // NIC-crossing tiers honour fail-slow link degradation: the flow runs at the sicker
-  // endpoint's rate. Guarded so healthy runs never touch the per-server factors.
-  if (cluster_->AnyDegraded() &&
-      (tier == LinkTier::kIntraRack || tier == LinkTier::kInterRack)) {
-    double factor = std::min(cluster_->ServerLinkFactor(cluster_->ServerOf(src)),
-                             cluster_->ServerLinkFactor(cluster_->ServerOf(dst)));
-    bw = bw * factor;
-  }
-  return Latency(tier) + TransferTime(size, bw);
 }
 
 }  // namespace flexpipe

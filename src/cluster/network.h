@@ -60,14 +60,9 @@ class FLEXPIPE_THREAD_HOSTILE NetworkModel {
   TimeNs Latency(LinkTier tier) const;
   TimeNs SetupTime(TransferProtocol protocol) const;
 
-  // One-shot transfer estimate including propagation latency and fair sharing with
-  // currently active flows on the same tier.
-  TimeNs EstimateTransfer(GpuId src, GpuId dst, Bytes size) const;
-
   // Flow accounting for contention: callers register flows for their duration.
   void AddFlow(LinkTier tier);
   void RemoveFlow(LinkTier tier);
-  int active_flows(LinkTier tier) const;
 
   // Effective bandwidth after fair-sharing with active flows (the new flow included).
   BytesPerSec EffectiveBandwidth(LinkTier tier) const;

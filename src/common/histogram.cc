@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/macros.h"
 
@@ -69,14 +68,6 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::Reset() {
-  buckets_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 double Histogram::mean() const {
   if (count_ == 0) {
     return 0.0;
@@ -109,14 +100,6 @@ double Histogram::Percentile(double q) const {
     seen += buckets_[i];
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "n=%lld mean=%.4g p50=%.4g p90=%.4g p95=%.4g p99=%.4g max=%.4g",
-                static_cast<long long>(count_), mean(), Percentile(50), Percentile(90),
-                Percentile(95), Percentile(99), max());
-  return buf;
 }
 
 }  // namespace flexpipe

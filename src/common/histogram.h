@@ -7,7 +7,6 @@
 #define FLEXPIPE_SRC_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/thread_annotations.h"
@@ -22,7 +21,6 @@ class FLEXPIPE_THREAD_HOSTILE Histogram {
 
   void Add(double value);
   void Merge(const Histogram& other);
-  void Reset();
 
   int64_t count() const { return count_; }
   double mean() const;
@@ -30,9 +28,6 @@ class FLEXPIPE_THREAD_HOSTILE Histogram {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   // q in [0, 100]; returns the bucket-interpolated quantile.
   double Percentile(double q) const;
-
-  // "p50=.. p95=.. p99=.." one-liner for bench output.
-  std::string Summary() const;
 
  private:
   size_t BucketFor(double value) const;

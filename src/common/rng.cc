@@ -42,11 +42,6 @@ double Rng::Gamma(double shape, double scale) {
   return dist(engine_);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 double Rng::LogNormal(double mu, double sigma) {
   std::lognormal_distribution<double> dist(mu, sigma);
   return dist(engine_);
@@ -59,28 +54,6 @@ double Rng::Pareto(double xm, double alpha) {
     u = 1e-12;
   }
   return xm / std::pow(u, 1.0 / alpha);
-}
-
-int64_t Rng::Zipf(int64_t n, double s) {
-  FLEXPIPE_DCHECK(n >= 1);
-  if (s <= 0.0) {
-    return UniformInt(1, n);
-  }
-  // Inverse-CDF over the (truncated) harmonic weights. n is small in our use (model or
-  // server counts), so the linear scan is fine.
-  double norm = 0.0;
-  for (int64_t i = 1; i <= n; ++i) {
-    norm += 1.0 / std::pow(static_cast<double>(i), s);
-  }
-  double u = Uniform() * norm;
-  double acc = 0.0;
-  for (int64_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (acc >= u) {
-      return i;
-    }
-  }
-  return n;
 }
 
 }  // namespace flexpipe

@@ -38,16 +38,12 @@ class FLEXPIPE_THREAD_HOSTILE Rng {
   // Gamma with the given shape k and scale theta (mean = k * theta).
   double Gamma(double shape, double scale);
 
-  double Normal(double mean, double stddev);
   double LogNormal(double mu, double sigma);
 
   // Pareto with minimum xm and tail index alpha.
   double Pareto(double xm, double alpha);
 
   bool Bernoulli(double p) { return Uniform() < p; }
-
-  // Zipf-like integer in [1, n] with exponent s (s=0 is uniform).
-  int64_t Zipf(int64_t n, double s);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -21,28 +21,6 @@ void RunningStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  int64_t total = count_ + other.count_;
-  double nb = static_cast<double>(other.count_);
-  double na = static_cast<double>(count_);
-  double nt = static_cast<double>(total);
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  mean_ += delta * nb / nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = total;
-}
-
-void RunningStats::Reset() { *this = RunningStats(); }
-
 double RunningStats::variance() const {
   if (count_ < 2) {
     return 0.0;
@@ -77,13 +55,6 @@ void SlidingWindowStats::Add(double x) {
   }
   sum_ += x;
   sum_sq_ += x * x;
-}
-
-void SlidingWindowStats::Reset() {
-  ring_.clear();
-  next_ = 0;
-  sum_ = 0.0;
-  sum_sq_ = 0.0;
 }
 
 double SlidingWindowStats::mean() const {

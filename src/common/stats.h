@@ -17,8 +17,6 @@ namespace flexpipe {
 class FLEXPIPE_THREAD_HOSTILE RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
-  void Reset();
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -47,7 +45,6 @@ class FLEXPIPE_THREAD_HOSTILE SlidingWindowStats {
   explicit SlidingWindowStats(size_t capacity);
 
   void Add(double x);
-  void Reset();
 
   size_t size() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }

@@ -38,7 +38,6 @@ struct PlacementConfig {
   double topo_bonus_rack = 0.15;    // next stage in the same rack
   double affinity_weight = 0.25;
   double hrg_weight = 0.35;
-  double sm_per_stage = 0.6;   // SM share a stage consumes
   // Recovery-aware spread (opt-in): penalizes packing many stages of the pipeline
   // being placed into one rack / power domain, so a correlated failure (rack
   // partition, power-feed trip) cannot take every stage of an instance at once. The

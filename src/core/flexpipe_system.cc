@@ -13,6 +13,43 @@ namespace flexpipe {
 
 namespace {
 
+// Launch pacing: at most this many scale-out launches (and stuck-loader restarts) per
+// model per control tick.
+constexpr int kMaxLaunchesPerTick = 4;
+// Relaunch backoff bounds (see LaunchWithRetry).
+constexpr TimeNs kRetryBackoff = 1 * kSecond;
+constexpr TimeNs kRelaunchBackoffCap = 30 * kSecond;
+// Damping: minimum spacing between granularity transitions (noisy ν_t estimates at
+// high CV would otherwise cause 8<->16 flapping, each costing a migration).
+constexpr TimeNs kRefactorCooldown = 45 * kSecond;
+// How far ahead the intensity gradient projects demand.
+constexpr double kDemandLeadS = 2.0;
+// Stuck-loader restart: an instance whose load was priced at a contention peak keeps
+// that price for its whole load, so once the peak clears it can lag a fresh launch by
+// minutes. Each tick, loaders whose remaining load exceeds kStuckLoaderFactor x the
+// current fresh-load estimate plus kStuckLoaderMargin are released and relaunched at
+// today's contention, the simulated analogue of killing a pod stuck in init. A loader
+// on genuinely slow hardware (fail-slow link) is supposed to lag the estimate, so after
+// kStuckLoaderMaxRestarts restarts it is left to finish at its hardware's pace.
+constexpr double kStuckLoaderFactor = 2.0;
+constexpr TimeNs kStuckLoaderMargin = 10 * kSecond;
+constexpr int kStuckLoaderMaxRestarts = 2;
+// Brownout admission classes; class 0 is never shed, so at least two are needed.
+constexpr int kBrownoutPriorityLevels = 4;
+static_assert(kBrownoutPriorityLevels >= 2);
+// Health-evacuation pacing per control tick (see ProcessEvacuations).
+constexpr int kMaxEvacuationsPerTick = 1;
+
+// Admission class of `request` in [0, kBrownoutPriorityLevels): spec.priority when
+// assigned, else derived deterministically from the request id.
+int PriorityClass(const Request& request) {
+  int cls = request.spec.priority >= 0
+                ? request.spec.priority
+                : static_cast<int>(request.spec.id %
+                                   static_cast<RequestId>(kBrownoutPriorityLevels));
+  return std::min(cls, kBrownoutPriorityLevels - 1);
+}
+
 std::vector<FlexPipeSystem::ModelDeployment> SingleDeployment(
     const GranularityLadder* ladder, const FlexPipeConfig& config) {
   FlexPipeSystem::ModelDeployment deployment;
@@ -30,15 +67,13 @@ FlexPipeSystem::ModelContext::ModelContext(const SystemContext& ctx,
     : ladder(ladder_in),
       config(config_in),
       rng(Rng(ctx.seed).Child("flexpipe-" + std::to_string(config_in.model_id))),
-      backoff_rng(Rng(ctx.seed).Child("flexpipe-backoff-" +
-                                      std::to_string(config_in.model_id))),
       cv_monitor(),
       granularity(ladder_in, ctx.cost_model, ctx.network, config_in.workload,
                   config_in.granularity) {
   FLEXPIPE_CHECK(ladder_in != nullptr);
   FLEXPIPE_CHECK(!ladder_in->granularities.empty());
   current_stages = config_in.initial_stages;
-  brownout_cutoff = std::max(1, config_in.brownout_priority_levels);
+  brownout_cutoff = kBrownoutPriorityLevels;
   // Fig. 7: elastic scale-outs use the finest granularity that loads quickly (stage
   // parameters fetch in parallel), then consolidation merges them once traffic settles.
   fast_scale_stages = ladder->granularities.back();
@@ -100,14 +135,6 @@ FlexPipeSystem::ModelContext& FlexPipeSystem::ContextFor(int model_id) {
   return const_cast<ModelContext&>(std::as_const(*this).ContextFor(model_id));
 }
 
-int FlexPipeSystem::current_stages_for(int model_id) const {
-  return ContextFor(model_id).current_stages;
-}
-
-const CvMonitor& FlexPipeSystem::cv_monitor_for(int model_id) const {
-  return ContextFor(model_id).cv_monitor;
-}
-
 void FlexPipeSystem::Start() {
   for (auto& model : contexts_) {
     int count = MinInstances(*model, model->current_stages);
@@ -131,25 +158,16 @@ void FlexPipeSystem::OnArrival(Request* request) {
   // relaunches even while admission is throttled, or brownout would self-sustain.
   model.cv_monitor.RecordArrival(ctx_.sim->now());
   if (model.config.enable_brownout &&
-      model.brownout_cutoff < model.config.brownout_priority_levels &&
-      PriorityClass(model, *request) >= model.brownout_cutoff) {
+      model.brownout_cutoff < kBrownoutPriorityLevels &&
+      PriorityClass(*request) >= model.brownout_cutoff) {
     ShedRequest(request);
     return;
   }
   router_.Submit(request);
 }
 
-int FlexPipeSystem::PriorityClass(const ModelContext& model, const Request& request) const {
-  int levels = model.config.brownout_priority_levels;
-  int cls = request.spec.priority >= 0
-                ? request.spec.priority
-                : static_cast<int>(request.spec.id % static_cast<RequestId>(levels));
-  return std::min(cls, levels - 1);
-}
-
 void FlexPipeSystem::UpdateBrownout(ModelContext& model) {
-  int levels = model.config.brownout_priority_levels;
-  if (!model.config.enable_brownout || levels <= 0) {
+  if (!model.config.enable_brownout) {
     return;
   }
   int model_id = model.config.model_id;
@@ -163,7 +181,7 @@ void FlexPipeSystem::UpdateBrownout(ModelContext& model) {
   int floor = MinInstances(model, model.current_stages);
   if (active >= floor) {
     model.fleet_ever_active = true;
-    model.brownout_cutoff = levels;
+    model.brownout_cutoff = kBrownoutPriorityLevels;
     return;
   }
   if (!model.fleet_ever_active) {
@@ -172,9 +190,9 @@ void FlexPipeSystem::UpdateBrownout(ModelContext& model) {
   // Shed classes proportional to the active-capacity deficit (lose half the floor,
   // shed half the classes), always keeping class 0 admitted.
   double deficit = 1.0 - static_cast<double>(active) / static_cast<double>(floor);
-  int shed = static_cast<int>(std::ceil(deficit * static_cast<double>(levels)));
-  shed = std::min(std::max(shed, 1), levels - 1);
-  model.brownout_cutoff = levels - shed;
+  int shed = static_cast<int>(std::ceil(deficit * kBrownoutPriorityLevels));
+  shed = std::min(std::max(shed, 1), kBrownoutPriorityLevels - 1);
+  model.brownout_cutoff = kBrownoutPriorityLevels - shed;
 }
 
 void FlexPipeSystem::Finish() { control_task_.reset(); }
@@ -233,7 +251,7 @@ double FlexPipeSystem::ProjectedDemand(const ModelContext& model) const {
   double rate = model.cv_monitor.RatePerSec(now);
   double gradient = model.cv_monitor.RateGradient(now);
   // Proactive adaptation (Algorithm 1): project the intensity gradient forward.
-  return std::max(rate, rate + gradient * model.config.demand_lead_s);
+  return std::max(rate, rate + gradient * kDemandLeadS);
 }
 
 int FlexPipeSystem::MinInstances(const ModelContext& model, int stages) const {
@@ -356,20 +374,11 @@ void FlexPipeSystem::LaunchWithRetry(ModelContext& model, int stages, double cv,
                       stages, model.config.model_id);
     return;
   }
-  // Bounded exponential backoff: attempt k waits min(retry_backoff * 2^k, cap). The
-  // first retry waits exactly retry_backoff, matching the historical fixed interval.
-  TimeNs backoff = model.config.retry_backoff;
-  TimeNs cap = std::max(model.config.relaunch_backoff_cap, model.config.retry_backoff);
-  for (int i = 0; i < attempt && backoff < cap; ++i) {
+  TimeNs backoff = kRetryBackoff;
+  for (int i = 0; i < attempt && backoff < kRelaunchBackoffCap; ++i) {
     backoff *= 2;
   }
-  backoff = std::min(backoff, cap);
-  if (model.config.relaunch_jitter > 0.0) {
-    double j = model.config.relaunch_jitter;
-    backoff = static_cast<TimeNs>(static_cast<double>(backoff) *
-                                  (1.0 - j + 2.0 * j * model.backoff_rng.Uniform()));
-    backoff = std::max<TimeNs>(backoff, 1);
-  }
+  backoff = std::min(backoff, kRelaunchBackoffCap);
   ModelContext* model_ptr = &model;
   ctx_.sim->Schedule(backoff, [this, model_ptr, stages, cv, remaining_attempts, attempt] {
     LaunchWithRetry(*model_ptr, stages, cv, remaining_attempts - 1, attempt + 1);
@@ -377,9 +386,6 @@ void FlexPipeSystem::LaunchWithRetry(ModelContext& model, int stages, double cv,
 }
 
 void FlexPipeSystem::RestartStuckLoaders(ModelContext& model) {
-  if (model.config.stuck_loader_factor <= 0.0) {
-    return;
-  }
   TimeNs now = ctx_.sim->now();
   // Snapshot: restarting deregisters from the router mid-iteration otherwise.
   std::vector<PipelineInstance*> loading;
@@ -396,7 +402,7 @@ void FlexPipeSystem::RestartStuckLoaders(ModelContext& model) {
   const bool degraded = ctx_.cluster->AnyDegraded();
   int restarts = 0;
   for (PipelineInstance* inst : loading) {
-    if (restarts >= model.config.max_launches_per_tick) {
+    if (restarts >= kMaxLaunchesPerTick) {
       break;
     }
     // Restart budget: a loader on genuinely slow hardware (degraded NIC) legitimately
@@ -404,11 +410,11 @@ void FlexPipeSystem::RestartStuckLoaders(ModelContext& model) {
     // the cap it finishes at whatever pace its links allow.
     auto spent_it = loader_restarts_.find(inst->id());
     int spent = spent_it == loader_restarts_.end() ? 0 : spent_it->second;
-    if (spent >= model.config.stuck_loader_max_restarts) {
+    if (spent >= kStuckLoaderMaxRestarts) {
       continue;
     }
     TimeNs remaining = inst->load_finish_time() - now;
-    if (remaining <= model.config.stuck_loader_margin) {
+    if (remaining <= kStuckLoaderMargin) {
       continue;
     }
     // What the same placement would cost if launched right now (cold: a restarted
@@ -433,8 +439,8 @@ void FlexPipeSystem::RestartStuckLoaders(ModelContext& model) {
       fresh = std::max(fresh, static_cast<TimeNs>(static_cast<double>(t) * slowdown));
     }
     TimeNs threshold =
-        static_cast<TimeNs>(model.config.stuck_loader_factor * static_cast<double>(fresh)) +
-        model.config.stuck_loader_margin;
+        static_cast<TimeNs>(kStuckLoaderFactor * static_cast<double>(fresh)) +
+        kStuckLoaderMargin;
     if (remaining <= threshold) {
       continue;
     }
@@ -814,10 +820,10 @@ void FlexPipeSystem::MitigateStragglers(const std::vector<ServerId>& flagged) {
 }
 
 void FlexPipeSystem::ProcessEvacuations() {
-  const int budget = health_monitor_->config().max_evacuations_per_tick;
   std::vector<PipelineInstance*> victims;
   size_t taken = 0;
-  while (taken < evacuation_queue_.size() && static_cast<int>(victims.size()) < budget) {
+  while (taken < evacuation_queue_.size() &&
+         static_cast<int>(victims.size()) < kMaxEvacuationsPerTick) {
     int id = evacuation_queue_[taken];
     ++taken;
     InstanceRecord* rec = FindRecord(id);
@@ -854,7 +860,7 @@ void FlexPipeSystem::TickModel(ModelContext& model) {
   // burst capacity normally arrives through the scaling path below (Fig. 7), so merges
   // are the common refactor.
   if (model.config.enable_refactoring && model.refactors_in_progress == 0 &&
-      now - model.last_refactor_time >= model.config.refactor_cooldown) {
+      now - model.last_refactor_time >= kRefactorCooldown) {
     int desired = model.granularity.SelectStageCount(cv, model.current_stages);
     bool calm = qnorm < 0.05;
     std::vector<PipelineInstance*> to_migrate;
@@ -912,7 +918,7 @@ void FlexPipeSystem::TickModel(ModelContext& model) {
 
   int have = ActiveOrLoadingForModel(model_id);
   if (have < needed) {
-    int launches = std::min(model.config.max_launches_per_tick, needed - have);
+    int launches = std::min(kMaxLaunchesPerTick, needed - have);
     for (int i = 0; i < launches; ++i) {
       LaunchWithRetry(model, scale_stages, cv, /*remaining_attempts=*/5, /*attempt=*/0);
     }

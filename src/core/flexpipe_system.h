@@ -55,6 +55,12 @@ enum class FaultRecoveryPolicy {
   kTeardown = 1,
 };
 
+// One model's policy. The controller hygiene that Algorithm 1 does not parameterize is
+// fixed in flexpipe_system.cc: launch pacing (kMaxLaunchesPerTick), relaunch backoff
+// (kRetryBackoff doubling up to kRelaunchBackoffCap), refactor damping
+// (kRefactorCooldown), the intensity-gradient lead (kDemandLeadS), stuck-loader restarts
+// (kStuckLoaderFactor, kStuckLoaderMargin, kStuckLoaderMaxRestarts), the brownout class
+// count (kBrownoutPriorityLevels) and health-evacuation pacing (kMaxEvacuationsPerTick).
 struct FlexPipeConfig {
   int model_id = 0;
   int initial_stages = 4;
@@ -62,12 +68,6 @@ struct FlexPipeConfig {
   double target_peak_rps = 20.0;
   TimeNs control_interval = 500 * kMillisecond;
   TimeNs default_slo = 15 * kSecond;
-  int max_launches_per_tick = 4;
-  TimeNs retry_backoff = 1 * kSecond;
-  // Damping: minimum spacing between granularity transitions (noisy ν_t estimates at
-  // high CV would otherwise cause 8<->16 flapping, each costing a migration).
-  TimeNs refactor_cooldown = 45 * kSecond;
-  double demand_lead_s = 2.0;  // how far the intensity gradient projects demand
 
   GranularityConfig granularity;
   ScalingConfig scaling;
@@ -81,20 +81,6 @@ struct FlexPipeConfig {
 
   FaultRecoveryPolicy fault_recovery = FaultRecoveryPolicy::kReform;
 
-  // Stuck-loader restart (controller hygiene): an instance whose load was priced at a
-  // contention peak keeps that price for its whole load, so once the peak clears it can
-  // lag a fresh launch by minutes. Each tick, loaders whose remaining load exceeds
-  // `stuck_loader_factor` x the current fresh-load estimate (plus the margin) are
-  // released and relaunched at today's contention — the simulated analogue of killing
-  // a pod stuck in init. 0 disables.
-  double stuck_loader_factor = 2.0;
-  TimeNs stuck_loader_margin = 10 * kSecond;
-  // A loader on genuinely slow hardware (fail-slow link) is *supposed* to lag the
-  // fresh estimate; restarting it onto the same degraded server forever would churn
-  // without progress. After this many restarts an instance is left to finish at
-  // whatever pace its hardware allows.
-  int stuck_loader_max_restarts = 2;
-
   // -- Fail-slow detection and mitigation (fig17) ---------------------------------------
   // Substrate-level like `placement`: the first deployment's `health` configures the
   // one shared monitor (gray failures are a property of servers, not of models).
@@ -104,18 +90,10 @@ struct FlexPipeConfig {
   // Brownout: once a fleet that had come up loses enough capacity that its *active*
   // instance count falls below the floor (MinInstances), admission control sheds the
   // lowest-priority request classes until capacity returns. Requests bucket into
-  // `brownout_priority_levels` classes via RequestSpec::priority (derived from the
-  // request id when unset); the number of shed classes scales with the capacity
-  // deficit and class 0 is never shed. Opt-in: the default admits everything.
+  // kBrownoutPriorityLevels classes via RequestSpec::priority (derived from the request
+  // id when unset); the number of shed classes scales with the capacity deficit and
+  // class 0 is never shed. Opt-in: the default admits everything.
   bool enable_brownout = false;
-  int brownout_priority_levels = 4;
-  // Relaunch retries back off exponentially from `retry_backoff` doubling up to this
-  // cap (the first retry always waits exactly `retry_backoff`), with optional
-  // multiplicative jitter in [1-j, 1+j] drawn from a dedicated per-model Rng stream —
-  // deterministic, and separate from the provisioning-delay stream so enabling jitter
-  // never shifts other draws. jitter 0 (default) adds no draws at all.
-  TimeNs relaunch_backoff_cap = 30 * kSecond;
-  double relaunch_jitter = 0.0;
 };
 
 class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
@@ -153,11 +131,9 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
   TimeNs total_refactor_pause() const { return total_pause_; }
   Bytes kv_migrated_bytes() const { return kv_migrated_bytes_; }
   const HostParamCache& host_cache() const { return host_cache_; }
-  // Per-model views; the no-argument forms read the first (or only) deployment.
+  // Per-model views of the first (or only) deployment:
   int current_stages() const { return contexts_.front()->current_stages; }
-  int current_stages_for(int model_id) const;
   const CvMonitor& cv_monitor() const { return contexts_.front()->cv_monitor; }
-  const CvMonitor& cv_monitor_for(int model_id) const;
   const GranularityController& granularity_controller() const {
     return contexts_.front()->granularity;
   }
@@ -186,9 +162,6 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
     const GranularityLadder* ladder;
     FlexPipeConfig config;
     Rng rng;
-    // Dedicated stream for relaunch-backoff jitter: drawing here never perturbs the
-    // provisioning-delay draws on `rng` (golden signatures depend on that stream).
-    Rng backoff_rng;
     CvMonitor cv_monitor;
     GranularityController granularity;
     int current_stages = 0;
@@ -214,14 +187,11 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
 
   PipelineInstance* LaunchAt(ModelContext& model, int stages, double cv);
   // Retries a failed launch with bounded exponential backoff: attempt k (0-based)
-  // waits min(retry_backoff * 2^k, relaunch_backoff_cap), jittered when configured.
+  // waits min(kRetryBackoff * 2^k, kRelaunchBackoffCap).
   void LaunchWithRetry(ModelContext& model, int stages, double cv, int remaining_attempts,
                        int attempt);
   // Re-evaluates the brownout cutoff from the model's active fleet vs its floor.
   void UpdateBrownout(ModelContext& model);
-  // Admission class of `request` in [0, brownout_priority_levels): spec.priority when
-  // assigned, else derived deterministically from the request id.
-  int PriorityClass(const ModelContext& model, const Request& request) const;
   // Drops the HRG load streams opened for `instance_id` if they are still pending.
   // Idempotent: called both at the load's estimated finish and — crucial under failure
   // storms — from OnInstanceReleased when the instance dies mid-load, so razed fleets
@@ -229,9 +199,9 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
   void RetireLoadStreams(int instance_id);
   void OnInstanceReleased(int instance_id) override;
   // Releases and relaunches loaders lagging far behind the current fresh-load
-  // estimate (see FlexPipeConfig::stuck_loader_factor). At most
-  // max_launches_per_tick restarts per call; admitted-but-unserved requests
-  // requeue silently (a loader restart is hygiene, not a fault).
+  // estimate (see kStuckLoaderFactor). At most kMaxLaunchesPerTick restarts per call;
+  // admitted-but-unserved requests requeue silently (a loader restart is hygiene, not a
+  // fault).
   void RestartStuckLoaders(ModelContext& model);
   // Feeds per-stage busy-time deltas into the health monitor, closes the sampling
   // window, and (when mitigating) evacuates instances off newly quarantined servers.
@@ -243,8 +213,7 @@ class FLEXPIPE_THREAD_HOSTILE FlexPipeSystem : public ServingSystemBase {
   // granularity — the placer's exclusion mask keeps the replacement off the
   // quarantined server.
   void MitigateStragglers(const std::vector<ServerId>& flagged);
-  // Drains the evacuation queue at most health.max_evacuations_per_tick instances
-  // per tick:
+  // Drains the evacuation queue at most kMaxEvacuationsPerTick instances per tick:
   // evacuating a whole quarantined wave at once would raze more live capacity than
   // the degradation itself costs, so victims keep (slowly) serving until their
   // replacement slot comes up.

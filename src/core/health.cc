@@ -14,7 +14,6 @@ HealthMonitor::HealthMonitor(const Cluster* cluster, const HealthConfig& config)
   FLEXPIPE_CHECK(config_.hysteresis_windows >= 1);
   FLEXPIPE_CHECK(config_.quarantine_strikes >= 1);
   FLEXPIPE_CHECK(config_.readmit_probes >= 1);
-  FLEXPIPE_CHECK(config_.max_evacuations_per_tick >= 1);
   FLEXPIPE_CHECK(config_.max_quarantine_fraction > 0.0 &&
                  config_.max_quarantine_fraction <= 1.0);
   state_.resize(static_cast<size_t>(cluster->server_count()));

@@ -55,12 +55,6 @@ struct HealthConfig {
   // tracked, but nothing is quarantined and the serving layer is never asked to
   // migrate — the fleet keeps limping on degraded hardware.
   bool mitigate = true;
-  // Evacuation pacing: at most this many instances are reformed off quarantined
-  // servers per control tick. Tearing a whole quarantined wave down at once razes
-  // more live capacity than the slowdown itself costs — a throttled server still
-  // serves at reduced speed, but an evacuating instance serves nothing until its
-  // replacement finishes loading.
-  int max_evacuations_per_tick = 1;
   // Capacity guard: cap the quarantine set at this fraction of GPU-bearing servers.
   // Quarantining removes capacity that the healthy remainder must absorb; past the
   // cap, a wide gray-failure wave would cost more in evacuations than the slowdown

@@ -77,16 +77,6 @@ const MetricsCollector* MetricsCollector::ForModel(int model_id) const {
   return per_model_[static_cast<size_t>(model_id)].get();
 }
 
-std::vector<int> MetricsCollector::ModelsSeen() const {
-  std::vector<int> models;
-  for (size_t i = 0; i < per_model_.size(); ++i) {
-    if (per_model_[i] != nullptr) {
-      models.push_back(static_cast<int>(i));
-    }
-  }
-  return models;
-}
-
 double MetricsCollector::GoodputRate(int64_t submitted) const {
   if (submitted <= 0) {
     return 0.0;

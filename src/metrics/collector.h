@@ -83,8 +83,6 @@ class FLEXPIPE_THREAD_HOSTILE MetricsCollector {
   // -- Per-model views (multi-model serving) -------------------------------------------
   // Sub-collector for one model's completions; nullptr when the model completed nothing.
   const MetricsCollector* ForModel(int model_id) const;
-  // Model ids with at least one completion, ascending.
-  std::vector<int> ModelsSeen() const;
 
  private:
   MetricsCollector(TimeNs default_slo, bool track_per_model);

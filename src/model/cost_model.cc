@@ -43,21 +43,6 @@ TimeNs CostModel::FullModelComputeTime(const ModelSpec& spec, Phase phase, int t
   return FromMillis(ms);
 }
 
-TimeNs CostModel::StageComputeTime(const ComputationGraph& graph, int op_begin, int op_end,
-                                   Phase phase, int tokens_per_req, int batch) const {
-  double share = graph.RangeComputeWeight(op_begin, op_end) / graph.TotalComputeWeight();
-  TimeNs full = FullModelComputeTime(graph.spec(), phase, tokens_per_req, batch);
-  return static_cast<TimeNs>(static_cast<double>(full) * share) +
-         FromMillis(config_.per_stage_overhead_ms);
-}
-
-Bytes CostModel::ActivationBytesAtBatch(Bytes base_bytes, int batch, int base_batch) const {
-  FLEXPIPE_DCHECK(batch >= 1 && base_batch >= 1);
-  double scale = 1.0 + config_.activation_alpha *
-                           std::log(static_cast<double>(batch) / static_cast<double>(base_batch));
-  return static_cast<Bytes>(static_cast<double>(base_bytes) * std::max(scale, 0.1));
-}
-
 Bytes CostModel::DecodeActivationBytes(const ModelSpec& spec, int batch) const {
   // One residual vector per in-flight request, fp16, wire-compressed like prefill.
   constexpr double kWireCompression = 0.35;
@@ -100,21 +85,6 @@ TimeNs CostModel::WarmLoadTime(Bytes stage_param_bytes, BytesPerSec pcie_bandwid
 
 Bytes CostModel::KvBytesPerToken(const ModelSpec& spec, double stage_fraction) const {
   return static_cast<Bytes>(static_cast<double>(spec.kv_bytes_per_token) * stage_fraction);
-}
-
-int CostModel::KvCapacityRequests(const ModelSpec& spec, double stage_fraction, Bytes gpu_memory,
-                                  Bytes stage_param_bytes, int mean_context_tokens) const {
-  Bytes budget = static_cast<Bytes>(
-      static_cast<double>(gpu_memory - stage_param_bytes) * config_.kv_memory_fraction);
-  if (budget <= 0) {
-    return 0;
-  }
-  Bytes per_req = KvBytesPerToken(spec, stage_fraction) *
-                  static_cast<Bytes>(std::max(1, mean_context_tokens));
-  if (per_req <= 0) {
-    return config_.per_stage_buffer_capacity;
-  }
-  return static_cast<int>(budget / per_req);
 }
 
 }  // namespace flexpipe

@@ -17,7 +17,6 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/common/units.h"
-#include "src/model/graph.h"
 #include "src/model/model_spec.h"
 
 namespace flexpipe {
@@ -38,8 +37,6 @@ struct CostModelConfig {
   // Marginal slowdown per extra request in a decode batch (memory-bound batching is
   // cheap: batch 32 costs ~1.6x batch 1).
   double decode_batch_slope = 0.02;
-  // Eq. 3 activation compression factor alpha.
-  double activation_alpha = 0.18;
   // Per-stage in-flight request capacity (Table 2: max batch = 32 * stages).
   int per_stage_buffer_capacity = 32;
   // Fraction of GPU memory usable for KV cache after weights.
@@ -59,14 +56,6 @@ class FLEXPIPE_THREAD_COMPATIBLE CostModel {
   TimeNs FullModelComputeTime(const ModelSpec& spec, Phase phase, int tokens_per_req,
                               int batch) const;
 
-  // Compute time of the operator range [op_begin, op_end) — the range's share of the
-  // full-model time plus the per-stage overhead.
-  TimeNs StageComputeTime(const ComputationGraph& graph, int op_begin, int op_end, Phase phase,
-                          int tokens_per_req, int batch) const;
-
-  // Eq. 3: batch-aware activation scaling s_a(b) = s_base * (1 + alpha * log(b/b_base)).
-  Bytes ActivationBytesAtBatch(Bytes base_bytes, int batch, int base_batch = 1) const;
-
   // Inter-stage payload of a decode iteration (residual vector per request, compressed).
   Bytes DecodeActivationBytes(const ModelSpec& spec, int batch) const;
 
@@ -82,10 +71,6 @@ class FLEXPIPE_THREAD_COMPATIBLE CostModel {
 
   // KV bytes one token occupies on a stage owning `stage_fraction` of the model.
   Bytes KvBytesPerToken(const ModelSpec& spec, double stage_fraction) const;
-
-  // Requests that fit in a stage's KV memory, given mean context length.
-  int KvCapacityRequests(const ModelSpec& spec, double stage_fraction, Bytes gpu_memory,
-                         Bytes stage_param_bytes, int mean_context_tokens) const;
 
  private:
   CostModelConfig config_;

@@ -4,22 +4,6 @@
 
 namespace flexpipe {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kEmbedding:
-      return "embedding";
-    case OpKind::kAttention:
-      return "attention";
-    case OpKind::kMlp:
-      return "mlp";
-    case OpKind::kLayerNorm:
-      return "layernorm";
-    case OpKind::kLmHead:
-      return "lm_head";
-  }
-  return "?";
-}
-
 ComputationGraph ComputationGraph::Build(const ModelSpec& spec) {
   FLEXPIPE_CHECK(spec.num_layers > 0);
   std::vector<Operator> ops;
@@ -94,17 +78,10 @@ ComputationGraph ComputationGraph::Build(const ModelSpec& spec) {
 
 ComputationGraph::ComputationGraph(ModelSpec spec, std::vector<Operator> ops)
     : spec_(std::move(spec)), ops_(std::move(ops)) {
-  param_prefix_.resize(ops_.size() + 1, 0);
   compute_prefix_.resize(ops_.size() + 1, 0.0);
   for (size_t i = 0; i < ops_.size(); ++i) {
-    param_prefix_[i + 1] = param_prefix_[i] + ops_[i].param_bytes;
     compute_prefix_[i + 1] = compute_prefix_[i] + ops_[i].compute_weight;
   }
-}
-
-Bytes ComputationGraph::RangeParamBytes(int begin, int end) const {
-  FLEXPIPE_DCHECK(begin >= 0 && end <= op_count() && begin <= end);
-  return param_prefix_[static_cast<size_t>(end)] - param_prefix_[static_cast<size_t>(begin)];
 }
 
 double ComputationGraph::RangeComputeWeight(int begin, int end) const {

@@ -25,8 +25,6 @@ enum class OpKind : int {
   kLmHead = 4,
 };
 
-const char* OpKindName(OpKind kind);
-
 struct Operator {
   int index = 0;       // position in the chain
   OpKind kind = OpKind::kAttention;
@@ -48,13 +46,12 @@ class FLEXPIPE_THREAD_COMPATIBLE ComputationGraph {
   int op_count() const { return static_cast<int>(ops_.size()); }
 
   // Totals over a half-open operator range [begin, end).
-  Bytes RangeParamBytes(int begin, int end) const;
   double RangeComputeWeight(int begin, int end) const;
   double TotalComputeWeight() const { return RangeComputeWeight(0, op_count()); }
 
   // Activation bytes crossing the cut between op `i` and `i+1` at the profiling batch
-  // size and full context (scaled later by Eq. 3). Cutting mid-block is wider than
-  // cutting between blocks (residual stream + attention intermediates).
+  // size and full context. Cutting mid-block is wider than cutting between blocks
+  // (residual stream + attention intermediates).
   Bytes CutActivationBytes(int cut_after) const;
 
  private:
@@ -62,7 +59,6 @@ class FLEXPIPE_THREAD_COMPATIBLE ComputationGraph {
 
   ModelSpec spec_;
   std::vector<Operator> ops_;
-  std::vector<Bytes> param_prefix_;
   std::vector<double> compute_prefix_;
 };
 

@@ -6,22 +6,6 @@
 
 namespace flexpipe {
 
-Bytes ModelProfile::TotalParamBytes() const {
-  Bytes total = 0;
-  for (const auto& op : ops) {
-    total += op.param_bytes;
-  }
-  return total;
-}
-
-TimeNs ModelProfile::TotalComputeTime() const {
-  TimeNs total = 0;
-  for (const auto& op : ops) {
-    total += op.compute_time;
-  }
-  return total;
-}
-
 Profiler::Profiler(const CostModel* cost_model, const Config& config)
     : cost_model_(cost_model), config_(config) {
   FLEXPIPE_CHECK(cost_model != nullptr);

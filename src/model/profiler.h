@@ -27,9 +27,6 @@ struct ModelProfile {
   std::vector<OperatorProfile> ops;
   int profiling_batch = 1;
   int profiling_tokens = 4096;
-
-  Bytes TotalParamBytes() const;
-  TimeNs TotalComputeTime() const;
 };
 
 class Profiler {

@@ -31,15 +31,6 @@ TimeNs PipelinePlan::TotalCompute() const {
   return total;
 }
 
-double PipelinePlan::StageFraction(int k) const {
-  FLEXPIPE_DCHECK(k >= 0 && k < num_stages());
-  if (spec.param_bytes == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(stages[static_cast<size_t>(k)].param_bytes) /
-         static_cast<double>(spec.param_bytes);
-}
-
 std::string PipelinePlan::Describe() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s: %d stages, max %.1f GiB/stage, bottleneck %.2f ms",
@@ -52,25 +43,6 @@ const PipelinePlan& GranularityLadder::plan(int stages) const {
   auto it = plans.find(stages);
   FLEXPIPE_CHECK_MSG(it != plans.end(), "no plan at requested granularity");
   return it->second;
-}
-
-int GranularityLadder::FinerThan(int stages) const {
-  for (int g : granularities) {
-    if (g > stages) {
-      return g;
-    }
-  }
-  return stages;
-}
-
-int GranularityLadder::CoarserThan(int stages) const {
-  int best = stages;
-  for (int g : granularities) {
-    if (g < stages) {
-      best = g;  // granularities ascend, so the last one below wins
-    }
-  }
-  return best;
 }
 
 bool GranularityLadder::IsNested() const {

@@ -37,8 +37,6 @@ struct PipelinePlan {
   Bytes MaxStageParams() const;
   TimeNs BottleneckCompute() const;
   TimeNs TotalCompute() const;
-  // Fraction of total model parameters held by stage k.
-  double StageFraction(int k) const;
   // Human-readable one-liner for logs and examples.
   std::string Describe() const;
 };
@@ -52,9 +50,6 @@ struct GranularityLadder {
   const PipelinePlan& plan(int stages) const;
   int finest() const { return granularities.back(); }
   int coarsest() const { return granularities.front(); }
-  // Next step up (finer) / down (coarser) from `stages`; returns `stages` at the ends.
-  int FinerThan(int stages) const;
-  int CoarserThan(int stages) const;
 
   // Verifies the nesting invariant; used by tests and CHECKed at construction.
   bool IsNested() const;

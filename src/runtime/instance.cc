@@ -7,6 +7,16 @@
 
 namespace flexpipe {
 
+namespace {
+
+// Sarathi-style chunked admission: prompt work mixed into a decode iteration is bounded
+// so prefill cannot starve token production. At least one pending request is admitted
+// per iteration regardless, so long prompts cannot be starved either.
+constexpr int kMaxPrefillRequestsPerIteration = 4;
+constexpr int kPrefillTokenBudgetPerIteration = 1024;
+
+}  // namespace
+
 PipelineInstance::PipelineInstance(Simulation* sim, int id, const PipelinePlan& plan,
                                    std::vector<GpuId> gpus, const CostModel* cost_model,
                                    const NetworkModel* network, const InstanceConfig& config)
@@ -103,7 +113,6 @@ void PipelineInstance::BeginLoading(const std::vector<bool>& warm_stages, double
 void PipelineInstance::ActivateNow() {
   FLEXPIPE_CHECK(state_ == InstanceState::kLoading);
   state_ = InstanceState::kActive;
-  activated_at_ = sim_->now();
   last_all_idle_ = sim_->now();
   for (StageClock& clock : clocks_) {
     clock.busy_until = sim_->now();
@@ -304,8 +313,8 @@ void PipelineInstance::FillRow(int prefill_tokens, int decode_batch, StageTiming
 }
 
 void PipelineInstance::AdmitFromPending(Group& group) {
-  int budget_requests = config_.max_prefill_requests_per_iteration;
-  int budget_tokens = config_.prefill_token_budget_per_iteration;
+  int budget_requests = kMaxPrefillRequestsPerIteration;
+  int budget_tokens = kPrefillTokenBudgetPerIteration;
   size_t group_cap = static_cast<size_t>(config_.per_group_capacity);
   bool admitted_any = false;
   while (!pending_.empty() && budget_requests > 0 &&
@@ -552,14 +561,6 @@ TimeNs PipelineInstance::TotalBusy() const {
     total += clock.busy_accum;
   }
   return total;
-}
-
-double PipelineInstance::MeanStageUtilization() const {
-  if (activated_at_ < 0 || sim_->now() <= activated_at_) {
-    return 0.0;
-  }
-  double window = static_cast<double>(sim_->now() - activated_at_);
-  return static_cast<double>(TotalBusy()) / (window * static_cast<double>(stages_.size()));
 }
 
 }  // namespace flexpipe

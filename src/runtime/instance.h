@@ -44,11 +44,6 @@ struct InstanceConfig {
   // Which model this replica serves; the router matches requests by model id.
   int model_id = 0;
   int per_group_capacity = 32;  // Table 2 anchor
-  // Sarathi-style chunked admission: prompt work mixed into a decode iteration is
-  // bounded so prefill cannot starve token production. At least one pending request is
-  // admitted per iteration regardless, so long prompts cannot be starved either.
-  int max_prefill_requests_per_iteration = 4;
-  int prefill_token_budget_per_iteration = 1024;
   Bytes gpu_memory = GiB(40);
   // false = sequential execution: a single wave occupies the whole chain (systems
   // without pipeline-parallel scheduling, e.g. the Tetris baseline).
@@ -140,7 +135,6 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
   // Requests currently decoding on this instance (snapshot; pointers stay valid).
   std::vector<Request*> CurrentDecoding() const;
   Bytes KvBytesTotal() const { return kv_.TotalBytes(); }
-  Bytes KvBytesForRequest(RequestId id) const { return kv_.RequestBytes(id); }
   const KvTracker& kv_tracker() const { return kv_; }
 
   // -- Planning estimates (used by controllers) ----------------------------------------
@@ -168,9 +162,6 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
   const InstanceStats& stats() const { return stats_; }
   TimeNs TotalStall() const;
   TimeNs TotalBusy() const;
-  // Mean busy fraction across stages since activation.
-  double MeanStageUtilization() const;
-  TimeNs activated_at() const { return activated_at_; }
 
  private:
   // Per-stage cold configuration, written once at construction. Waves never read it
@@ -252,7 +243,6 @@ class FLEXPIPE_THREAD_HOSTILE PipelineInstance {
   InstanceState state_ = InstanceState::kLoading;
   bool admissions_closed_ = false;
   TimeNs load_finish_time_ = -1;
-  TimeNs activated_at_ = -1;
 
   std::vector<StageConfig> stages_;
   std::vector<StageClock> clocks_;

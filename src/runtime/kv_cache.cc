@@ -15,19 +15,6 @@ bool KvValidityMask::IsValid(int token) const {
   return (bits_[static_cast<size_t>(token) / 64] >> (static_cast<unsigned>(token) % 64)) & 1ULL;
 }
 
-void KvValidityMask::Set(int token, bool valid) {
-  uint64_t& word = bits_[static_cast<size_t>(token) / 64];
-  uint64_t bit = 1ULL << (static_cast<unsigned>(token) % 64);
-  bool was = (word & bit) != 0;
-  if (valid && !was) {
-    word |= bit;
-    ++valid_count_;
-  } else if (!valid && was) {
-    word &= ~bit;
-    --valid_count_;
-  }
-}
-
 void KvValidityMask::MarkValid(int begin, int end) {
   FLEXPIPE_CHECK(begin >= 0 && end <= capacity_ && begin <= end);
   // Word-at-a-time: popcount the newly set bits instead of testing each token.
@@ -68,17 +55,6 @@ int KvValidityMask::invalid_in(int begin, int end) const {
     valid += std::popcount(bits_[static_cast<size_t>(base) / 64] & RangeMask(lo, hi));
   }
   return (end - begin) - valid;
-}
-
-std::vector<int> KvValidityMask::InvalidTokens(int upto) const {
-  std::vector<int> out;
-  out.reserve(static_cast<size_t>(invalid_in(0, upto)));
-  ForEachInvalidRange(upto, [&out](int begin, int end) {
-    for (int t = begin; t < end; ++t) {
-      out.push_back(t);
-    }
-  });
-  return out;
 }
 
 KvTracker::KvTracker(int num_stages, Bytes per_stage_budget, Bytes kv_bytes_per_token_per_stage)
@@ -126,14 +102,6 @@ void KvTracker::Remove(RequestId id) {
 void KvTracker::Clear() {
   tokens_.clear();
   used_per_stage_ = 0;
-}
-
-Bytes KvTracker::RequestBytes(RequestId id) const {
-  auto it = Find(id);
-  if (it == tokens_.end()) {
-    return 0;
-  }
-  return static_cast<Bytes>(it->tokens) * kv_per_token_per_stage_ * num_stages_;
 }
 
 Bytes KvTracker::TotalBytes() const { return used_per_stage_ * num_stages_; }

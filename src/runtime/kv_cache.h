@@ -73,10 +73,6 @@ class FLEXPIPE_THREAD_HOSTILE KvValidityMask {
     }
   }
 
-  // Tokens in [0, upto) that still need synchronization. Materializes a vector; hot
-  // paths should use ForEachInvalidRange instead.
-  std::vector<int> InvalidTokens(int upto) const;
-
  private:
   // Bits [begin, end) of a 64-bit word, where 0 <= begin <= end <= 64.
   static uint64_t RangeMask(int begin, int end) {
@@ -84,8 +80,6 @@ class FLEXPIPE_THREAD_HOSTILE KvValidityMask {
     uint64_t lo = (1ull << begin) - 1;
     return hi & ~lo;
   }
-
-  void Set(int token, bool valid);
 
   int capacity_;
   int valid_count_ = 0;
@@ -109,8 +103,7 @@ class FLEXPIPE_THREAD_HOSTILE KvTracker {
   Bytes budget_per_stage() const { return budget_per_stage_; }
   int resident_requests() const { return static_cast<int>(tokens_.size()); }
 
-  // Total KV bytes across all stages for one request / for everything resident.
-  Bytes RequestBytes(RequestId id) const;
+  // Total KV bytes across all stages for everything resident.
   Bytes TotalBytes() const;
   Bytes BytesForTokens(int tokens) const {
     return static_cast<Bytes>(tokens) * kv_per_token_per_stage_ * num_stages_;

@@ -120,23 +120,4 @@ void Router::PumpModel(int model_id) {
   }
 }
 
-int Router::TotalOutstanding() const {
-  int total = queue_length();
-  for (const PipelineInstance* inst : instances_) {
-    total += inst->inflight() + inst->pending();
-  }
-  return total;
-}
-
-int Router::OutstandingForModel(int model_id) const {
-  int total = queue_length_for(model_id);
-  auto bucket = instances_by_model_.find(model_id);
-  if (bucket != instances_by_model_.end()) {
-    for (const PipelineInstance* inst : bucket->second) {
-      total += inst->inflight() + inst->pending();
-    }
-  }
-  return total;
-}
-
 }  // namespace flexpipe

@@ -59,11 +59,6 @@ class FLEXPIPE_THREAD_HOSTILE Router {
   int64_t max_queue_length() const { return max_queue_length_; }
   const std::vector<PipelineInstance*>& instances() const { return instances_; }
 
-  // Aggregate in-flight + queued work across the fleet (used by scaling controllers).
-  int TotalOutstanding() const;
-  // Same, restricted to one model's queue and instances.
-  int OutstandingForModel(int model_id) const;
-
  private:
   // Debug-build invariant audits cross-check the incremental counters and buckets.
   friend class SimulationAuditor;

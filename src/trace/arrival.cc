@@ -57,7 +57,7 @@ TimeNs PoissonArrivals::NextGap(Rng& rng) {
   return std::max<TimeNs>(kMinGap, FromSeconds(rng.ExponentialMean(1.0 / rate_)));
 }
 
-GammaArrivals::GammaArrivals(double rate_per_sec, double cv) : rate_(rate_per_sec), cv_(cv) {
+GammaArrivals::GammaArrivals(double rate_per_sec, double cv) {
   FLEXPIPE_CHECK(rate_per_sec > 0.0);
   FLEXPIPE_CHECK(cv > 0.0);
   // For Gamma(shape k, scale theta): mean = k*theta, CV = 1/sqrt(k).
@@ -96,12 +96,6 @@ TimeNs MmppArrivals::NextGap(Rng& rng) {
   return std::max<TimeNs>(kMinGap, FromSeconds(gap_s));
 }
 
-double MmppArrivals::MeanRate() const {
-  double p_high =
-      config_.mean_high_sojourn_s / (config_.mean_high_sojourn_s + config_.mean_low_sojourn_s);
-  return p_high * config_.high_rate + (1.0 - p_high) * config_.low_rate;
-}
-
 TraceReplayArrivals::TraceReplayArrivals(std::vector<TimeNs> timestamps)
     : timestamps_(std::move(timestamps)) {
   for (size_t i = 1; i < timestamps_.size(); ++i) {
@@ -123,17 +117,6 @@ bool TraceReplayArrivals::TryNextGap(Rng& /*rng*/, TimeNs* gap) {
   last_ = timestamps_[next_];
   ++next_;
   return true;
-}
-
-double TraceReplayArrivals::MeanRate() const {
-  if (timestamps_.size() < 2) {
-    return 0.0;
-  }
-  double span_s = ToSeconds(timestamps_.back() - timestamps_.front());
-  if (span_s <= 0.0) {
-    return 0.0;
-  }
-  return static_cast<double>(timestamps_.size() - 1) / span_s;
 }
 
 std::unique_ptr<ArrivalProcess> MakeArrivalsWithCv(double rate_per_sec, double cv) {

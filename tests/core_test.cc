@@ -227,7 +227,9 @@ TEST_F(GranularityTest, SelectionIsMonotoneInCv) {
 TEST_F(GranularityTest, HysteresisKeepsIncumbent) {
   // At a CV right between two granularities, the incumbent should win.
   int a = controller_->SelectStageCount(1.0, 0);
-  int finer = ladder_.FinerThan(a);
+  auto rung = std::upper_bound(ladder_.granularities.begin(), ladder_.granularities.end(), a);
+  ASSERT_NE(rung, ladder_.granularities.end());
+  int finer = *rung;
   // Find a CV where the fresh choice flips to `finer`.
   double flip_cv = 0.0;
   for (double cv = 1.0; cv < 32.0; cv *= 1.05) {

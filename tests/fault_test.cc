@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -539,6 +541,139 @@ TEST(FaultStormTest, MidDecodeLossRequeuesExactlyOnceUnderReform) {
   }
   EXPECT_EQ(out.leaked_masks, 0);
   EXPECT_TRUE(out.recovered);
+}
+
+TEST(FaultStormTest, GpuLossDuringRefactorCutoverRequeuesLimboExactlyOnce) {
+  // GPUs die while a refactor wave's MigrationSession holds requests in limbo: its
+  // source has halted and handed its requests over, and the delta transfer to the target
+  // is still in flight. OnGpusLost must abort every session touching a victim (the
+  // surviving endpoints and the sessions sharing their targets too), reclaim the limbo
+  // requests, and requeue each displaced request exactly once with its decode progress
+  // intact.
+  ExperimentEnv env(SmallEnvConfig());
+  FlexPipeConfig config = SmallFlexPipeConfig();
+  config.control_interval = 250 * kMillisecond;
+  // A reserve fleet of 17 four-stage instances fills most of the cluster, so the merge
+  // wave at 45 s finds room for a single two-stage target and all 17 sessions share it:
+  // killing one source must chase the abort through that target to every sibling.
+  config.target_peak_rps = 10000.0;
+  FlexPipeSystem system(env.Context(), &env.ladder(0), config);
+  Simulation& sim = env.sim();
+  Router& router = system.router();
+
+  // A calm phase, then a burst: the merge wave runs while requests are mid-decode.
+  WorkloadGenerator gen;
+  Rng rng(5);
+  std::vector<RequestSpec> stable = gen.GenerateWithCv(rng, 4.0, 0.5, 40 * kSecond);
+  std::vector<RequestSpec> bursty = gen.GenerateWithCv(rng, 8.0, 6.0, 60 * kSecond);
+  for (RequestSpec& spec : bursty) {
+    spec.arrival += 40 * kSecond;
+  }
+  std::vector<RequestSpec> specs = MergeWorkloads({stable, bursty});
+  // Driven by hand rather than by the streaming runner, so every Request outlives the
+  // run and its progress can be checked afterwards.
+  std::deque<Request> requests;
+  int64_t arrived = 0;
+  system.Start();
+  for (const RequestSpec& spec : specs) {
+    Request& r = requests.emplace_back();
+    r.spec = spec;
+    sim.ScheduleAt(spec.arrival, [&system, &r, &arrived] {
+      ++arrived;
+      system.OnArrival(&r);
+    });
+  }
+
+  auto held = [](const PipelineInstance* inst) { return inst->inflight() + inst->pending(); };
+  // Requests the system holds outside the router queue and every instance: only a
+  // migration session's limbo (nothing is shed or draining in this run).
+  auto in_limbo = [&] {
+    int64_t placed = router.queue_length();
+    for (const PipelineInstance* inst : router.instances()) {
+      placed += held(inst);
+    }
+    return arrived - system.metrics().completed() - placed;
+  };
+
+  const TimeNs horizon = specs.back().arrival + 180 * kSecond;
+  int64_t limbo = 0;
+  TimeNs kill_time = -1;
+  std::map<RequestId, TimeNs> first_tokens;  // progress made before the kill
+  std::function<void()> watch = [&] {
+    // A halted, emptied, unreleased source is inside its cutover: a session with no
+    // delta to ship finishes (and releases its source) in the halt event itself.
+    PipelineInstance* source = nullptr;
+    bool halting = false;
+    for (PipelineInstance* inst : router.instances()) {
+      if (inst->state() == InstanceState::kHalting) {
+        halting = true;
+        source = held(inst) == 0 ? inst : source;
+      }
+    }
+    if (source == nullptr) {
+      // Poll coarsely until a wave halts a source, then finer than any delta transfer.
+      if (sim.now() < horizon) {
+        sim.Schedule(halting ? 5 * kMicrosecond : kMillisecond, watch);
+      }
+      return;
+    }
+    kill_time = sim.now();
+    limbo = in_limbo();
+    for (const Request& r : requests) {
+      if (r.first_token_time >= 0) {
+        first_tokens[r.spec.id] = r.first_token_time;
+      }
+    }
+    std::map<int, int> held_before;
+    for (const PipelineInstance* inst : router.instances()) {
+      held_before[inst->id()] = held(inst);
+    }
+    int64_t requeued_before = system.failure_stats().requests_requeued;
+
+    std::vector<GpuId> lost = source->gpus();
+    std::sort(lost.begin(), lost.end());
+    lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
+    for (GpuId g : lost) {
+      env.cluster().SetGpuFailed(g);
+    }
+    system.OnGpusLost(lost);
+
+    // Every request on a failed instance and every limbo request is requeued, once.
+    int64_t displaced = 0;
+    for (const auto& [id, count] : held_before) {
+      bool failed = std::none_of(router.instances().begin(), router.instances().end(),
+                                 [id = id](const PipelineInstance* i) { return i->id() == id; });
+      displaced += failed ? count : 0;
+    }
+    EXPECT_EQ(system.failure_stats().requests_requeued - requeued_before, limbo + displaced);
+    EXPECT_EQ(in_limbo(), 0) << "an aborted session kept requests in limbo";
+  };
+  sim.Schedule(kMillisecond, watch);
+
+  sim.RunUntil(horizon);
+  system.Finish();
+  sim.RunUntilIdle();
+
+  ASSERT_GE(kill_time, 0) << "no refactor wave reached its cutover";
+  EXPECT_GT(limbo, 0);
+  // The source, the shared target, and the sibling sessions' sources.
+  EXPECT_GT(system.failure_stats().instances_lost, 2);
+  EXPECT_EQ(arrived, static_cast<int64_t>(specs.size()));
+  EXPECT_EQ(system.metrics().completed(), arrived);
+  EXPECT_EQ(std::count_if(requests.begin(), requests.end(),
+                          [](const Request& r) { return !r.done(); }),
+            0);
+  // Reform keeps decode progress through the abort: nothing restarts from token zero,
+  // so every first token produced before the kill still stands.
+  EXPECT_EQ(system.failure_stats().requests_restarted, 0);
+  for (const Request& r : requests) {
+    auto it = first_tokens.find(r.spec.id);
+    if (it != first_tokens.end()) {
+      EXPECT_EQ(r.first_token_time, it->second) << "request " << r.spec.id;
+    }
+  }
+  EXPECT_EQ(LeakedRecoveryMasks(system, specs), 0);
+  EXPECT_TRUE(SimulationAuditor::AuditAll(sim, env.cluster(), {&system}).empty());
 }
 
 TEST(FaultStormTest, TeardownPolicyRestartsInsteadOfResuming) {

@@ -23,7 +23,10 @@ TEST(Graph, OperatorChainStructure) {
   EXPECT_EQ(graph.ops().front().kind, OpKind::kEmbedding);
   EXPECT_EQ(graph.ops().back().kind, OpKind::kLmHead);
   // Parameters sum to the model total (within rounding).
-  Bytes total = graph.RangeParamBytes(0, graph.op_count());
+  Bytes total = 0;
+  for (const Operator& op : graph.ops()) {
+    total += op.param_bytes;
+  }
   EXPECT_NEAR(static_cast<double>(total), static_cast<double>(spec.param_bytes),
               static_cast<double>(spec.param_bytes) * 0.01);
 }
@@ -68,12 +71,18 @@ TEST_P(Table2Calibration, PerStageComputeMatchesPaper) {
   CostModel cost;
   ModelSpec spec = Opt66B();
   ComputationGraph graph = ComputationGraph::Build(spec);
-  // Per-stage compute at the reference conditions: a block-aligned 1/S slice from the
-  // middle of the chain (ops: embedding + 4 per block + head).
+  // Per-stage compute at the reference conditions (the profile runs OPT-66B at its
+  // 4096-token context, batch 1): a block-aligned 1/S slice from the middle of the chain
+  // (ops: embedding + 4 per block + head), plus the per-stage overhead the runtime adds.
+  ModelProfile profile = Profiler(&cost, Profiler::Config{}).Profile(graph);
+  ASSERT_EQ(profile.profiling_tokens, 4096);
   int blocks_per_stage = spec.num_layers / stages;
   int op_begin = 1 + 4 * blocks_per_stage;  // skip stage 0 (embedding skews it)
   int op_end = op_begin + 4 * blocks_per_stage;
-  TimeNs t = cost.StageComputeTime(graph, op_begin, op_end, Phase::kPrefill, 4096, 1);
+  TimeNs t = FromMillis(cost.config().per_stage_overhead_ms);
+  for (int op = op_begin; op < op_end; ++op) {
+    t += profile.ops[static_cast<size_t>(op)].compute_time;
+  }
   // The paper's column is t_c(S) = 275.5/S + 1.06 ms; allow 15% for share rounding.
   EXPECT_NEAR(ToMillis(t), paper_compute_ms, paper_compute_ms * 0.15) << stages << " stages";
 
@@ -113,16 +122,6 @@ TEST(CostModel, DecodeBatchSlopeIsMild) {
   EXPECT_LT(ratio, 2.5);  // batching decode is cheap (memory-bound)
 }
 
-TEST(CostModel, ActivationScalingEq3) {
-  CostModel cost;
-  Bytes base = MiB(10);
-  // b = b_base gives exactly the base size.
-  EXPECT_EQ(cost.ActivationBytesAtBatch(base, 1, 1), base);
-  Bytes b32 = cost.ActivationBytesAtBatch(base, 32, 1);
-  // 1 + 0.18 * ln(32) ~= 1.62.
-  EXPECT_NEAR(static_cast<double>(b32) / base, 1.62, 0.05);
-}
-
 TEST(CostModel, WarmLoadBeatsColdLoad) {
   CostModel cost;
   Bytes stage = GiB(15);
@@ -147,12 +146,17 @@ TEST(Profiler, ProfileSumsMatchModel) {
   ComputationGraph graph = ComputationGraph::Build(Llama2_7B());
   ModelProfile profile = profiler.Profile(graph);
   EXPECT_EQ(profile.ops.size(), static_cast<size_t>(graph.op_count()));
-  EXPECT_NEAR(static_cast<double>(profile.TotalParamBytes()),
-              static_cast<double>(Llama2_7B().param_bytes),
+  Bytes params = 0;
+  TimeNs compute = 0;
+  for (const OperatorProfile& op : profile.ops) {
+    params += op.param_bytes;
+    compute += op.compute_time;
+  }
+  EXPECT_NEAR(static_cast<double>(params), static_cast<double>(Llama2_7B().param_bytes),
               static_cast<double>(Llama2_7B().param_bytes) * 0.01);
   TimeNs expected = cost.FullModelComputeTime(Llama2_7B(), Phase::kPrefill,
                                               Llama2_7B().context_window, 1);
-  EXPECT_NEAR(static_cast<double>(profile.TotalComputeTime()), static_cast<double>(expected),
+  EXPECT_NEAR(static_cast<double>(compute), static_cast<double>(expected),
               static_cast<double>(expected) * 0.02);
 }
 
@@ -169,15 +173,6 @@ TEST(Profiler, NoiseIsBoundedAndSeeded) {
   for (size_t i = 0; i < pa.ops.size(); ++i) {
     EXPECT_EQ(pa.ops[i].compute_time, pb.ops[i].compute_time);  // deterministic
   }
-}
-
-TEST(CostModel, KvCapacityShrinksWithContext) {
-  CostModel cost;
-  ModelSpec spec = Opt66B();
-  int short_ctx = cost.KvCapacityRequests(spec, 0.25, GiB(40), GiB(30), 512);
-  int long_ctx = cost.KvCapacityRequests(spec, 0.25, GiB(40), GiB(30), 4096);
-  EXPECT_GT(short_ctx, long_ctx);
-  EXPECT_GT(long_ctx, 0);
 }
 
 }  // namespace

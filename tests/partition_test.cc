@@ -127,8 +127,12 @@ TEST(Partitioner, StagesTileTheOperatorChain) {
     total += s.param_bytes;
   }
   EXPECT_EQ(expect, static_cast<int>(profile.ops.size()));
-  EXPECT_NEAR(static_cast<double>(total), static_cast<double>(profile.TotalParamBytes()),
-              static_cast<double>(profile.TotalParamBytes()) * 0.001);
+  Bytes profiled = 0;
+  for (const OperatorProfile& op : profile.ops) {
+    profiled += op.param_bytes;
+  }
+  EXPECT_NEAR(static_cast<double>(total), static_cast<double>(profiled),
+              static_cast<double>(profiled) * 0.001);
 }
 
 TEST(Partitioner, RespectsMemoryCap) {
@@ -193,10 +197,10 @@ TEST(Partitioner, LadderNavigation) {
   ModelProfile profile = MakeProfile(Llama2_7B());
   Partitioner partitioner;
   GranularityLadder ladder = partitioner.BuildLadder(profile);
-  EXPECT_EQ(ladder.FinerThan(4), 8);
-  EXPECT_EQ(ladder.CoarserThan(4), 2);
-  EXPECT_EQ(ladder.FinerThan(32), 32);   // already finest
-  EXPECT_EQ(ladder.CoarserThan(2), 2);   // already coarsest
+  // Each rung doubles the stage count, from the coarsest that fits to the finest.
+  EXPECT_EQ(ladder.granularities, (std::vector<int>{2, 4, 8, 16, 32}));
+  EXPECT_EQ(ladder.coarsest(), 2);
+  EXPECT_EQ(ladder.finest(), 32);
 }
 
 TEST(Partitioner, CoarseStagesAggregateFineStages) {

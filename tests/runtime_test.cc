@@ -30,7 +30,7 @@ TEST(KvValidityMask, MarkAndCount) {
   EXPECT_EQ(mask.invalid_in(0, 100), 40);
   mask.MarkInvalid(10, 20);
   EXPECT_EQ(mask.valid_count(), 50);
-  EXPECT_EQ(mask.InvalidTokens(30).size(), 10u);
+  EXPECT_EQ(mask.invalid_in(0, 30), 10);
 }
 
 TEST(KvValidityMask, GrowAddsInvalidTokens) {
@@ -96,7 +96,6 @@ TEST(KvValidityMask, WordOpsMatchNaiveBitReferenceRandomized) {
       }
     }
     EXPECT_EQ(mask.valid_count(), expected_valid) << "round " << round;
-    EXPECT_EQ(mask.InvalidTokens(capacity), expected_invalid) << "round " << round;
     int qb = static_cast<int>(rng.UniformInt(0, capacity));
     int qe = static_cast<int>(rng.UniformInt(qb, capacity));
     int naive = 0;
@@ -137,10 +136,12 @@ TEST(KvTracker, BudgetEnforcement) {
 TEST(KvTracker, BytesAccounting) {
   KvTracker kv(8, 10000, 5);
   kv.Admit(7, 100);
-  EXPECT_EQ(kv.RequestBytes(7), 100 * 5 * 8);
   EXPECT_EQ(kv.TotalBytes(), 100 * 5 * 8);
   EXPECT_EQ(kv.BytesForTokens(10), 10 * 5 * 8);
-  EXPECT_EQ(kv.RequestBytes(999), 0);
+  kv.Admit(9, 20);
+  EXPECT_EQ(kv.TotalBytes(), 120 * 5 * 8);
+  kv.Remove(7);
+  EXPECT_EQ(kv.TotalBytes(), 20 * 5 * 8);
 }
 
 // ---------- Transfer engine ----------
@@ -164,11 +165,12 @@ TEST_F(TransferTest, AsyncCompletionWithFlowAccounting) {
     done = true;
     reported = d;
   });
-  EXPECT_EQ(network_.active_flows(tier), 1);
+  // The in-flight transfer holds a flow: a second one on the tier gets a fair half.
+  EXPECT_EQ(network_.EffectiveBandwidth(tier), network_.Bandwidth(tier) / 2.0);
   sim_.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_GT(reported, 0);
-  EXPECT_EQ(network_.active_flows(tier), 0);
+  EXPECT_EQ(network_.EffectiveBandwidth(tier), network_.Bandwidth(tier));
   EXPECT_EQ(engine.completed_transfers(), 1);
   EXPECT_EQ(engine.bytes_moved(), GiB(1));
 }
@@ -430,8 +432,8 @@ TEST_F(InstanceTest, StallAccumulatesUnderOverload) {
   sim_.RunUntilIdle();
   EXPECT_GT(inst->TotalBusy(), 0);
   EXPECT_GT(inst->TotalStall(), 0);  // comm gaps between waves are pipeline bubbles
-  EXPECT_GT(inst->MeanStageUtilization(), 0.0);
-  EXPECT_LE(inst->MeanStageUtilization(), 1.0);
+  // No stage is busy for longer than the run: mean stage utilization stays <= 1.
+  EXPECT_LE(inst->TotalBusy(), sim_.now() * inst->num_stages());
 }
 
 TEST_F(InstanceTest, EstimatesAreMonotone) {
@@ -741,8 +743,8 @@ TEST_F(InstanceTest, RouterIsolatesModels) {
       EXPECT_TRUE(r.done());
     }
   }
-  EXPECT_EQ(router.OutstandingForModel(2), 10);
-  EXPECT_EQ(router.OutstandingForModel(0), 0);
+  EXPECT_EQ(router.queue_length_for(2), 10);
+  EXPECT_EQ(router.queue_length_for(0), 0);
 }
 
 // ---------- Recovery analysis ----------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/auditor.h"
 #include "src/sim/simulation.h"
 
 namespace flexpipe {
@@ -145,45 +147,77 @@ TEST(Simulation, ScheduleCancelChurnStaysBounded) {
 }
 
 TEST(Simulation, FarFutureChurnStaysBounded) {
-  // Same bound for events that land in the staging tier (beyond the near window):
-  // staged cancels tombstone lazily but compaction keeps physical state proportional
-  // to the live population.
-  Simulation sim;
-  std::vector<EventId> live;
+  // Same bound for events in the staging tier (beyond the near window). A small refill
+  // batch keeps most of the far backlog staged while the clock runs into it, so refills
+  // keep merging fresh events into the sorted backlog, cancels tombstone staged
+  // entries, and compaction must keep physical state proportional to the live
+  // population without breaking any slot's backlink.
+  Simulation::Config config;
+  config.refill_batch = 16;
+  config.merge_threshold = 8;
+  Simulation sim(config);
+  enum : char { kPending, kCanceled, kFired };
+  std::vector<char> state;  // per scheduled event
+  std::vector<EventId> ids;
+  std::vector<size_t> live;  // indices of pending events, in scheduling order
   for (int round = 0; round < 2000; ++round) {
     for (int i = 0; i < 100; ++i) {
-      live.push_back(sim.Schedule(kHour + round * kSecond + i, [] {}));
+      size_t index = state.size();
+      state.push_back(kPending);
+      ids.push_back(sim.Schedule(2 * kSecond + i * 50 * kMillisecond, [&state, index] {
+        EXPECT_EQ(state[index], kPending) << "event " << index;
+        state[index] = kFired;
+      }));
+      live.push_back(index);
     }
-    for (size_t i = 0; i + 1 < live.size(); i += 2) {
-      sim.Cancel(live[i]);  // cancel half; some are fresh, some already staged
+    for (size_t i = 0; i < live.size(); i += 2) {
+      ASSERT_TRUE(sim.Cancel(ids[live[i]])) << "round " << round;
+      state[live[i]] = kCanceled;
     }
-    // Step occasionally so fresh entries migrate into the staging array and the
-    // staged-cancel (tombstone) path is genuinely exercised.
-    if (round % 100 == 0) {
-      sim.RunUntil(sim.now() + kMinute);
-    }
-    std::vector<EventId> kept;
-    for (size_t i = 1; i < live.size(); i += 2) {
-      kept.push_back(live[i]);
-    }
-    live.swap(kept);
+    sim.RunUntil(sim.now() + kSecond);
+    std::erase_if(live, [&state](size_t index) { return state[index] != kPending; });
+    ASSERT_EQ(sim.pending_events(), live.size()) << "round " << round;
     ASSERT_LE(sim.arena_slots(), sim.pending_events() + 256) << "round " << round;
+    AuditReport audit = SimulationAuditor::AuditArena(sim);
+    ASSERT_TRUE(audit.empty()) << "round " << round << ": " << audit.front();
   }
   sim.RunUntilIdle();
   EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(std::count(state.begin(), state.end(), kPending), 0);
 }
 
 TEST(Simulation, CancelOfStagedEventPreventsExecutionAndOrderHolds) {
-  Simulation sim;
+  // A one-event refill batch keeps the far backlog staged: the first refills move only
+  // the 1 h event and d0 to the heap, so d1..d4 are canceled as staged entries
+  // (tombstones). The third staged cancel leaves more tombstones than live entries and
+  // compacts the backlog, which moves d4 and the 2 h + 5 event to new positions.
+  Simulation::Config config;
+  config.refill_batch = 1;
+  Simulation sim(config);
   std::vector<int> fired;
-  // Far-future events (staging tier) interleaved with near ones.
-  EventId doomed = sim.Schedule(2 * kHour, [&] { fired.push_back(-1); });
-  sim.Schedule(2 * kHour + 1, [&] { fired.push_back(2); });
-  sim.Schedule(kHour, [&] { fired.push_back(1); });
   sim.Schedule(10, [&] { fired.push_back(0); });
-  sim.RunUntil(kMinute);  // forces the first staging threshold past the near events
-  EXPECT_TRUE(sim.Cancel(doomed));
-  EXPECT_FALSE(sim.Cancel(doomed));
+  sim.Schedule(kHour, [&] { fired.push_back(1); });
+  std::vector<EventId> doomed;  // d0..d4
+  for (int i = 0; i < 5; ++i) {
+    doomed.push_back(sim.Schedule(2 * kHour + i, [&] { fired.push_back(-1); }));
+  }
+  sim.Schedule(2 * kHour + 5, [&] { fired.push_back(2); });
+  sim.RunUntil(kMinute);
+  ASSERT_EQ(sim.heap_events(), 2u);    // the 1 h event and d0
+  ASSERT_EQ(sim.staged_events(), 5u);  // d1..d4 and the 2 h + 5 event
+  EXPECT_TRUE(sim.Cancel(doomed[0]));
+  EXPECT_EQ(sim.heap_events(), 1u);
+  for (int i = 1; i < 5; ++i) {
+    // Nothing was scheduled since the refill, so every non-heap event is staged.
+    EXPECT_TRUE(sim.Cancel(doomed[static_cast<size_t>(i)]));
+    EXPECT_EQ(sim.heap_events(), 1u);
+    EXPECT_EQ(sim.staged_events(), static_cast<size_t>(5 - i));
+    AuditReport audit = SimulationAuditor::AuditArena(sim);
+    EXPECT_TRUE(audit.empty()) << "after canceling d" << i << ": " << audit.front();
+  }
+  for (EventId id : doomed) {
+    EXPECT_FALSE(sim.Cancel(id));
+  }
   sim.RunUntilIdle();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(sim.pending_events(), 0u);

@@ -15,12 +15,13 @@
 namespace flexpipe {
 namespace {
 
-double MeasuredInterarrivalCv(ArrivalProcess& process, Rng& rng, int n) {
+// Inter-arrival gap statistics in seconds: cv() is the burstiness, 1 / mean() the rate.
+RunningStats MeasuredGaps(ArrivalProcess& process, Rng& rng, int n) {
   RunningStats s;
   for (int i = 0; i < n; ++i) {
     s.Add(ToSeconds(process.NextGap(rng)));
   }
-  return s.cv();
+  return s;
 }
 
 TEST(Arrivals, PoissonHasUnitCvAndTargetRate) {
@@ -40,9 +41,9 @@ TEST_P(GammaCvTest, HitsTargetCv) {
   double cv = GetParam();
   GammaArrivals g(20.0, cv);
   Rng rng(2);
-  double measured = MeasuredInterarrivalCv(g, rng, 60000);
-  EXPECT_NEAR(measured, cv, cv * 0.1) << "target cv " << cv;
-  EXPECT_DOUBLE_EQ(g.MeanRate(), 20.0);
+  RunningStats gaps = MeasuredGaps(g, rng, 60000);
+  EXPECT_NEAR(gaps.cv(), cv, cv * 0.1) << "target cv " << cv;
+  EXPECT_NEAR(1.0 / gaps.mean(), 20.0, 2.0) << "target cv " << cv;
 }
 
 INSTANTIATE_TEST_SUITE_P(CvSweep, GammaCvTest, ::testing::Values(0.1, 0.5, 1.0, 2.0, 4.0, 8.0));
@@ -51,10 +52,10 @@ TEST(Arrivals, MmppIsBurstier) {
   MmppArrivals::Config config;
   MmppArrivals m(config);
   Rng rng(3);
-  double measured = MeasuredInterarrivalCv(m, rng, 60000);
-  EXPECT_GT(measured, 1.3);  // correlated bursts exceed Poisson variability
-  EXPECT_GT(m.MeanRate(), config.low_rate);
-  EXPECT_LT(m.MeanRate(), config.high_rate);
+  RunningStats gaps = MeasuredGaps(m, rng, 60000);
+  EXPECT_GT(gaps.cv(), 1.3);  // correlated bursts exceed Poisson variability
+  EXPECT_GT(1.0 / gaps.mean(), config.low_rate);
+  EXPECT_LT(1.0 / gaps.mean(), config.high_rate);
 }
 
 TEST(Arrivals, TraceReplayReproducesTimestamps) {
