@@ -77,9 +77,6 @@ int Run(BenchReporter& reporter) {
   const std::vector<ModelSpec> models = EvaluationModels();
   ExperimentEnvConfig env_config = DefaultEnvConfig(models);
   env_config.cluster = params.cluster;
-  // The only far-future event a streaming run schedules is the next arrival; a tight
-  // near window keeps dense arrival bursts out of the hot heap's way.
-  env_config.sim.near_window = 100 * kMillisecond;
   ExperimentEnv env(env_config);
 
   double aggregate_qps = 0.0;

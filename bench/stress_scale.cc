@@ -56,11 +56,12 @@ StressParams CiScale() {
 // ---------------------------------------------------------------------------
 // Engine storm: the serving run measures the whole stack (instances, router,
 // controllers share the wall clock with the engine), so engine gains are diluted by
-// semantic simulation work. This phase isolates the substrate with the shape of a
-// serving run that pre-schedules its trace: a six-figure backlog of one-shots (arrivals),
-// thousands of self-rescheduling short-delay chains (pipeline waves), and a watchdog
-// re-arm every 8th step (timeout churn — the pattern whose cancels the old engine
-// retained as heap tombstones forever).
+// semantic simulation work. This phase isolates the substrate: a six-figure backlog of
+// far-future one-shots, thousands of self-rescheduling short-delay chains (pipeline
+// waves), and a watchdog re-arm every 8th step (timeout churn — the pattern whose
+// cancels the old engine retained as heap tombstones forever). No workload runner
+// parks such a backlog (the streaming runner keeps one pending arrival); here it
+// deepens the heap every chain event sifts through, so this is a heap-depth stress.
 // ---------------------------------------------------------------------------
 
 struct StormCtx {
@@ -128,8 +129,7 @@ ArmResult ServingArm(const StressParams& params) {
   ExperimentEnv env(env_config);
 
   // Requests are drawn lazily and recycled on completion, so the engine holds one
-  // pending arrival, never an arrival backlog; its staging tier sees only far-future
-  // control events here (the engine-storm arm below is what exercises a backlog).
+  // pending arrival, never an arrival backlog (the engine-storm arm below parks one).
   MergedRequestStream stream =
       MultiModelWorkloadStream(models, params.qps, /*cv=*/2.0, params.duration);
   auto system = MakeSharedClusterSystem(SystemKind::kFlexPipe, env, params.qps);

@@ -11,7 +11,6 @@ namespace flexpipe {
 
 ExperimentEnv::ExperimentEnv(const ExperimentEnvConfig& config)
     : config_(config),
-      sim_(config.sim),
       cluster_(config.cluster),
       network_(&cluster_, config.network),
       transfer_(&sim_, &network_),

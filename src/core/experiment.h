@@ -31,9 +31,6 @@
 namespace flexpipe {
 
 struct ExperimentEnvConfig {
-  // Engine staging-tier tuning (defaults unchanged); streaming benches shrink the near
-  // window since they schedule at most one far-future arrival at a time.
-  Simulation::Config sim;
   ClusterConfig cluster = EvalClusterConfig();
   FragmentationProfile fragmentation = ProfileClusterC1();
   bool apply_fragmentation = true;

@@ -540,6 +540,12 @@ void FlexPipeSystem::BeginRefactor(ModelContext& model,
     return;
   }
   model.current_stages = new_stages;
+  // Placement may launch fewer targets than planned. Keep the planned fan-in per target
+  // rather than folding every source onto the few that launched: the surplus sources
+  // keep serving at the old granularity, and a later wave picks them up.
+  const size_t fan_in = (old_instances.size() + static_cast<size_t>(target_count) - 1) /
+                        static_cast<size_t>(target_count);
+  old_instances.resize(std::min(old_instances.size(), targets.size() * fan_in));
 
   // Sessions grouped by target: a session must not halt its source before the target
   // can serve, so sessions wait for the target's activation. The old pipelines keep

@@ -40,12 +40,6 @@ void KvValidityMask::MarkInvalid(int begin, int end) {
   }
 }
 
-void KvValidityMask::Grow(int new_capacity) {
-  FLEXPIPE_CHECK(new_capacity >= capacity_);
-  capacity_ = new_capacity;
-  bits_.resize(static_cast<size_t>((new_capacity + 63) / 64), 0);
-}
-
 int KvValidityMask::invalid_in(int begin, int end) const {
   FLEXPIPE_CHECK(begin >= 0 && end <= capacity_ && begin <= end);
   int valid = 0;

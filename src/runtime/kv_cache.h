@@ -30,7 +30,6 @@ class FLEXPIPE_THREAD_HOSTILE KvValidityMask {
   bool IsValid(int token) const;
   void MarkValid(int begin, int end);
   void MarkInvalid(int begin, int end);
-  void Grow(int new_capacity);  // new tokens start invalid
 
   // Visits fn(begin, end) for every maximal run of invalid tokens in [0, upto),
   // allocation-free. All-valid and all-invalid 64-token words are handled with one

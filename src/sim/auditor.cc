@@ -41,31 +41,22 @@ AuditReport SimulationAuditor::AuditArena(const Simulation& sim) {
   AuditReport out;
   const auto& slots = sim.slots_;
   const size_t slot_count = slots.size();
-  // How many queue entries reference each slot; must end at exactly 1 for live slots.
+  // How many heap entries reference each slot; must end at exactly 1 for live slots.
   std::vector<uint32_t> refs(slot_count, 0);
-
-  auto check_entry = [&](const Simulation::HeapEntry& entry, size_t pos, const char* tier,
-                         Simulation::Where want) {
-    uint32_t slot = entry.slot();
-    if (slot >= slot_count) {
-      Violation(&out) << tier << " entry " << pos << " references slot " << slot
-                      << " beyond the slab (" << slot_count << " slots)";
-      return;
-    }
-    ++refs[slot];
-    const Simulation::Slot& s = slots[slot];
-    if (s.where != want) {
-      Violation(&out) << tier << " entry " << pos << " references slot " << slot
-                      << " whose tier tag disagrees";
-    } else if (s.pos != pos) {
-      Violation(&out) << tier << " entry " << pos << " has backlink " << s.pos
-                      << " on slot " << slot;
-    }
-  };
 
   for (size_t i = 0; i < sim.heap_.size(); ++i) {
     const Simulation::HeapEntry& e = sim.heap_[i];
-    check_entry(e, i, "heap", Simulation::Where::kHeap);
+    uint32_t slot = e.slot();
+    if (slot >= slot_count) {
+      Violation(&out) << "heap entry " << i << " references slot " << slot
+                      << " beyond the slab (" << slot_count << " slots)";
+    } else {
+      ++refs[slot];
+      if (slots[slot].pos != i) {
+        Violation(&out) << "heap entry " << i << " has backlink " << slots[slot].pos
+                        << " on slot " << slot;
+      }
+    }
     if (e.when < sim.now_) {
       Violation(&out) << "heap entry " << i << " is scheduled at " << e.when
                       << " which is before now=" << sim.now_;
@@ -78,47 +69,15 @@ AuditReport SimulationAuditor::AuditArena(const Simulation& sim) {
     }
   }
 
-  size_t dead = 0;
-  const Simulation::HeapEntry* prev_live = nullptr;
-  for (size_t i = sim.staged_head_; i < sim.staged_.size(); ++i) {
-    const Simulation::HeapEntry& e = sim.staged_[i];
-    if (Simulation::IsTombstone(e)) {
-      ++dead;
-      continue;
-    }
-    check_entry(e, i, "staged", Simulation::Where::kStaged);
-    if (e.when < sim.staging_threshold_) {
-      Violation(&out) << "staged entry " << i << " at t=" << e.when
-                      << " is earlier than the staging threshold " << sim.staging_threshold_;
-    }
-    if (prev_live != nullptr && Simulation::EarlierThan(e, *prev_live)) {
-      Violation(&out) << "staged backlog is not sorted at entry " << i;
-    }
-    prev_live = &e;
-  }
-  if (dead != sim.staged_dead_) {
-    Violation(&out) << "staging tombstone count " << sim.staged_dead_ << " but " << dead
-                    << " tombstones present";
-  }
-
-  for (size_t i = 0; i < sim.fresh_.size(); ++i) {
-    const Simulation::HeapEntry& e = sim.fresh_[i];
-    check_entry(e, i, "fresh", Simulation::Where::kFresh);
-    if (e.when < sim.staging_threshold_) {
-      Violation(&out) << "fresh entry " << i << " at t=" << e.when
-                      << " is earlier than the staging threshold " << sim.staging_threshold_;
-    }
-  }
-
-  // Free-list walk: every node tagged free, no cycles, length matches the tag count.
+  // Free-list walk: no node has a heap backlink, no cycles, length matches the free count.
   size_t free_list_len = 0;
   for (uint32_t s = sim.free_head_; s != Simulation::kNil;) {
     if (s >= slot_count) {
       Violation(&out) << "free list reaches slot " << s << " beyond the slab";
       break;
     }
-    if (slots[s].where != Simulation::Where::kFree) {
-      Violation(&out) << "free-list node " << s << " is not tagged free";
+    if (slots[s].pos != Simulation::kNil) {
+      Violation(&out) << "free-list node " << s << " still has a heap backlink";
       break;
     }
     if (++free_list_len > slot_count) {
@@ -128,32 +87,32 @@ AuditReport SimulationAuditor::AuditArena(const Simulation& sim) {
     s = slots[s].next_free;
   }
 
-  size_t tagged_free = 0;
+  size_t free_slots = 0;
   for (size_t s = 0; s < slot_count; ++s) {
     const Simulation::Slot& slot = slots[s];
-    if (slot.where == Simulation::Where::kFree) {
-      ++tagged_free;
+    if (slot.pos == Simulation::kNil) {
+      ++free_slots;
       if (slot.fn != nullptr) {
         Violation(&out) << "freed slot " << s << " still holds a callback (leaked capture state)";
       }
       if (refs[s] != 0) {
-        Violation(&out) << "freed slot " << s << " is referenced by a queue entry "
-                        << "(stale generation in a live queue)";
+        Violation(&out) << "freed slot " << s << " is referenced by a heap entry "
+                        << "(stale generation in a live heap)";
       }
     } else {
       if (refs[s] != 1) {
         Violation(&out) << "live slot " << s << " is referenced by " << refs[s]
-                        << " queue entries (leaked or duplicated slot)";
+                        << " heap entries (leaked or duplicated slot)";
       }
       if (slot.fn == nullptr) {
         Violation(&out) << "live slot " << s << " has no callback";
       }
     }
   }
-  if (tagged_free != free_list_len && out.empty()) {
+  if (free_slots != free_list_len && out.empty()) {
     // Only meaningful when the walk itself terminated cleanly.
-    Violation(&out) << "free list covers " << free_list_len << " slots but " << tagged_free
-                    << " are tagged free";
+    Violation(&out) << "free list covers " << free_list_len << " slots but " << free_slots
+                    << " are free";
   }
   return out;
 }
@@ -472,7 +431,6 @@ void SimulationAuditor::TestOnlyLeakArenaSlot(Simulation* sim) {
   uint32_t slot = sim->AcquireSlot();
   Simulation::Slot& s = sim->slots_[slot];
   s.fn = [] {};
-  s.where = Simulation::Where::kHeap;
   s.pos = 0;  // bogus: nothing in the heap points back at this slot
 }
 

@@ -44,11 +44,10 @@ using AuditReport = std::vector<std::string>;
 
 class FLEXPIPE_THREAD_COMPATIBLE SimulationAuditor {
  public:
-  // Event-arena slot accounting: every live slot is referenced by exactly one queue
-  // entry (heap backlink, staged position or fresh position) and every queue entry
-  // references a live slot; the free list covers exactly the slots tagged free and
-  // holds no callback state; tombstone counts match; the heap satisfies the 4-ary
-  // heap property and the staged backlog stays sorted.
+  // Event-arena slot accounting: every live slot is referenced by exactly one heap
+  // entry, whose index is the slot's backlink, and every heap entry references a live
+  // slot; the free list covers exactly the slots without a backlink and holds no
+  // callback state; the heap satisfies the 4-ary heap property.
   static AuditReport AuditArena(const Simulation& sim);
 
   // Free-GPU index: per-server free-memory/headroom maxima equal a from-scratch

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <iterator>
 #include <utility>
 
 #include "src/common/macros.h"
@@ -22,11 +21,6 @@ uint64_t Simulation::process_executed_events() {
   return g_process_executed.load(std::memory_order_relaxed);
 }
 
-Simulation::Simulation(const Config& config) : config_(config) {
-  FLEXPIPE_CHECK(config.near_window >= 0);
-  FLEXPIPE_CHECK(config.refill_batch >= 1);
-}
-
 uint32_t Simulation::AcquireSlot() {
   if (free_head_ != kNil) {
     uint32_t slot = free_head_;
@@ -42,7 +36,6 @@ uint32_t Simulation::AcquireSlot() {
 void Simulation::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   ++s.generation;  // invalidate outstanding EventIds for this tenancy
-  s.where = Where::kFree;
   s.pos = kNil;
   s.next_free = free_head_;
   free_head_ = slot;
@@ -92,20 +85,6 @@ void Simulation::SiftDown(size_t index) {
   PlaceEntry(index, entry);
 }
 
-void Simulation::CompactStaged() {
-  size_t write = staged_head_;
-  for (size_t i = staged_head_; i < staged_.size(); ++i) {
-    if (IsTombstone(staged_[i])) {
-      continue;
-    }
-    staged_[write] = staged_[i];
-    slots_[staged_[write].slot()].pos = static_cast<uint32_t>(write);
-    ++write;
-  }
-  staged_.resize(write);
-  staged_dead_ = 0;
-}
-
 // Bottom-up delete-min: percolate the root hole to a leaf along minimal children (no
 // comparison against the relocated element on the way down), then reinsert the last
 // element at the leaf hole and sift it up — usually a no-op, since it came from the
@@ -153,73 +132,6 @@ void Simulation::RemoveHeapEntry(size_t index) {
   }
 }
 
-void Simulation::Refill() {
-  if (!fresh_.empty()) {
-    // A trickle of far events (idle-reclaim timers, churn ticks) is not worth re-merging
-    // a six-figure staging array over: it is always correct to promote entries to the
-    // heap early, so small batches go straight there.
-    if (fresh_.size() < config_.merge_threshold && StagedLive() > 0) {
-      for (const HeapEntry& entry : fresh_) {
-        slots_[entry.slot()].where = Where::kHeap;
-        heap_.push_back(entry);
-        SiftUp(heap_.size() - 1);
-      }
-      fresh_.clear();
-    } else {
-      std::sort(fresh_.begin(), fresh_.end(), EarlierThan);
-      if (StagedLive() == 0) {
-        staged_.swap(fresh_);
-        staged_dead_ = 0;
-      } else {
-        std::vector<HeapEntry> merged;
-        merged.reserve(StagedLive() + fresh_.size());
-        // Dead (canceled) staged entries drop out during the merge.
-        auto keep_live = [](const HeapEntry& e) { return !IsTombstone(e); };
-        std::vector<HeapEntry> live;
-        live.reserve(StagedLive());
-        std::copy_if(staged_.begin() + static_cast<ptrdiff_t>(staged_head_), staged_.end(),
-                     std::back_inserter(live), keep_live);
-        std::merge(live.begin(), live.end(), fresh_.begin(), fresh_.end(),
-                   std::back_inserter(merged), EarlierThan);
-        staged_ = std::move(merged);
-        staged_dead_ = 0;
-      }
-      staged_head_ = 0;
-      fresh_.clear();
-      for (size_t i = staged_head_; i < staged_.size(); ++i) {
-        Slot& s = slots_[staged_[i].slot()];
-        s.where = Where::kStaged;
-        s.pos = static_cast<uint32_t>(i);
-      }
-    }
-  }
-  size_t moved = 0;
-  while (moved < config_.refill_batch && staged_head_ < staged_.size()) {
-    HeapEntry entry = staged_[staged_head_++];
-    if (IsTombstone(entry)) {  // canceled while staged
-      --staged_dead_;
-      continue;
-    }
-    slots_[entry.slot()].where = Where::kHeap;
-    heap_.push_back(entry);
-    SiftUp(heap_.size() - 1);
-    staging_threshold_ = entry.when;
-    ++moved;
-  }
-  if (StagedLive() == 0) {
-    staged_.clear();
-    staged_head_ = 0;
-    staged_dead_ = 0;
-  }
-}
-
-void Simulation::EnsureNext() {
-  while ((heap_.empty() || heap_[0].when >= staging_threshold_) &&
-         (StagedLive() > 0 || !fresh_.empty())) {
-    Refill();
-  }
-}
-
 EventId Simulation::Schedule(TimeNs delay, std::function<void()> fn) {
   FLEXPIPE_CHECK_MSG(delay >= 0, "cannot schedule into the past");
   return ScheduleAt(now_ + delay, std::move(fn));
@@ -234,19 +146,8 @@ EventId Simulation::ScheduleAt(TimeNs when, std::function<void()> fn) {
   // A hard check (not DCHECK): past 2^40 events the packed key would wrap and silently
   // break the ordering guarantee in release builds too.
   FLEXPIPE_CHECK_MSG(next_seq_ < (uint64_t{1} << 40), "event sequence space exhausted");
-  HeapEntry entry{when, (next_seq_++ << kSlotBits) | slot};
-  // Correctness requires only that events earlier than the staging threshold go to the
-  // heap; among the rest, near-term events also take the heap path so the staging area
-  // sees nothing but genuinely far-future work.
-  if (when >= staging_threshold_ && when - now_ > config_.near_window) {
-    s.where = Where::kFresh;
-    s.pos = static_cast<uint32_t>(fresh_.size());
-    fresh_.push_back(entry);
-  } else {
-    s.where = Where::kHeap;
-    heap_.push_back(entry);
-    SiftUp(heap_.size() - 1);
-  }
+  heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
+  SiftUp(heap_.size() - 1);
   return IdOf(slot);
 }
 
@@ -257,42 +158,16 @@ bool Simulation::Cancel(EventId id) {
   }
   uint32_t slot = low - 1;
   Slot& s = slots_[slot];
-  if (s.generation != static_cast<uint32_t>(id >> 32) || s.where == Where::kFree) {
+  if (s.generation != static_cast<uint32_t>(id >> 32) || s.pos == kNil) {
     return false;  // already fired, already canceled, or a stale generation
   }
-  switch (s.where) {
-    case Where::kHeap:
-      RemoveHeapEntry(s.pos);
-      break;
-    case Where::kFresh:
-      // Unsorted: swap-with-last.
-      if (s.pos + 1 < fresh_.size()) {
-        fresh_[s.pos] = fresh_.back();
-        slots_[fresh_[s.pos].slot()].pos = s.pos;
-      }
-      fresh_.pop_back();
-      break;
-    case Where::kStaged:
-      // Keeping the array sorted makes in-place erasure O(n), so cancellation leaves a
-      // bounded tombstone instead: the entry is skipped at refill/merge time, and a
-      // compaction pass runs once tombstones outnumber live entries — amortized O(1)
-      // per cancel with memory pinned to ~2x the live staging population (unlike the
-      // old engine's tombstones, which were never reclaimed at all).
-      staged_[s.pos].key |= kSlotMask;  // tombstone: slot bits all-ones
-      ++staged_dead_;
-      if (staged_dead_ > config_.refill_batch && staged_dead_ * 2 > staged_.size() - staged_head_) {
-        CompactStaged();
-      }
-      break;
-    case Where::kFree:
-      return false;  // unreachable; guarded above
-  }
+  RemoveHeapEntry(s.pos);
   s.fn = nullptr;  // release captured state now, not at fire time
   ReleaseSlot(slot);
   return true;
 }
 
-bool Simulation::PopAndRun() {
+bool Simulation::Step() {
   if (heap_.empty()) {
     return false;
   }
@@ -311,16 +186,10 @@ bool Simulation::PopAndRun() {
   return true;
 }
 
-bool Simulation::Step() {
-  EnsureNext();
-  return PopAndRun();
-}
-
 void Simulation::RunUntilIdle() {
   stopped_ = false;
   while (!stopped_) {
-    EnsureNext();
-    if (!PopAndRun()) {
+    if (!Step()) {
       break;
     }
   }
@@ -329,12 +198,8 @@ void Simulation::RunUntilIdle() {
 void Simulation::RunUntil(TimeNs end) {
   FLEXPIPE_CHECK(end >= now_);
   stopped_ = false;
-  while (!stopped_) {
-    EnsureNext();
-    if (heap_.empty() || heap_[0].when > end) {
-      break;
-    }
-    PopAndRun();
+  while (!stopped_ && !heap_.empty() && heap_[0].when <= end) {
+    Step();
   }
   if (!stopped_ && now_ < end) {
     now_ = end;

@@ -11,20 +11,11 @@
 //     per-event hash-map nodes. Scheduling reuses a dead slot; only a new high-water
 //     mark grows the slab. EventIds are generation-tagged slot references, so stale ids
 //     (already fired or canceled) fail validation in O(1). Cancel releases the callback
-//     immediately and reclaims its queue entry either eagerly (heap tier) or via
-//     bounded, compacted tombstones (staging tier) — unlike the old engine, which left
-//     every canceled entry in its heap forever, a real leak under PeriodicTask-heavy
-//     multi-model runs.
-//   * The pending queue is two-tier. Near-term events live in a vector-backed 4-ary
-//     heap of packed 16-byte {when, seq|slot} entries; far-future events wait in a
-//     lazily-sorted staging area and enter the heap in batches as the clock approaches
-//     them. The workload runner keeps one pending arrival, so serving runs stage only
-//     far-future control events, but a caller that schedules a large backlog (the
-//     stress_scale engine storm parks 400k events) keeps a small, cache-resident hot
-//     heap instead of sifting every event through the whole backlog. Firing order is
-//     decided purely by (when, seq), so the tiering is invisible: the staging area is
-//     always merged into the heap before any event at or beyond the staging threshold
-//     fires.
+//     and removes its queue entry immediately, so canceled events never accumulate
+//     under PeriodicTask-heavy multi-model runs.
+//   * Every pending event lives in one vector-backed 4-ary heap of packed 16-byte
+//     {when, seq|slot} entries. The workload runner keeps one pending arrival, so the
+//     heap holds only in-flight work and control timers, never a trace backlog.
 //
 // Ordering guarantee: events fire in (time, scheduling order) — two events scheduled
 // for the same instant run in the order they were scheduled, so runs are
@@ -47,29 +38,9 @@ using EventId = uint64_t;
 
 class FLEXPIPE_THREAD_HOSTILE Simulation {
  public:
-  // Staging-tier tuning. The defaults match the historical compile-time constants;
-  // workloads with unusual scheduling horizons (e.g. a streaming source whose only
-  // far-future event is the next arrival) can shrink the near window so dense traffic
-  // just past it stays off the hot heap.
-  struct Config {
-    // Events further than this past the staging threshold go to the staging area
-    // instead of the heap. Controller ticks and pipeline iterations (micro- to
-    // milli-second scale) stay on the fast heap path; a pre-scheduled far-future
-    // backlog does not.
-    TimeNs near_window = 1 * kSecond;
-    // How many staged events each refill moves into the heap.
-    size_t refill_batch = 1024;
-    // Fresh batches smaller than this are promoted straight to the heap at refill
-    // time rather than paying a re-merge of the whole staging array.
-    size_t merge_threshold = 256;
-  };
-
-  Simulation() : Simulation(Config{}) {}
-  explicit Simulation(const Config& config);
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
-
-  const Config& config() const { return config_; }
 
   TimeNs now() const { return now_; }
 
@@ -97,18 +68,11 @@ class FLEXPIPE_THREAD_HOSTILE Simulation {
   void Stop() { stopped_ = true; }
   void ClearStop() { stopped_ = false; }
 
-  size_t pending_events() const {
-    return heap_.size() + StagedLive() + fresh_.size();
-  }
-  // Tier introspection for tests and tuning: events on the hot heap vs parked in the
-  // staging area (sorted backlog + unsorted fresh batch).
-  size_t heap_events() const { return heap_.size(); }
-  size_t staged_events() const { return StagedLive() + fresh_.size(); }
+  size_t pending_events() const { return heap_.size(); }
   // Slots ever allocated: the high-water mark of concurrently pending events. Cancel
-  // recycles its slot immediately and its queue entry eagerly (heap) or via bounded
-  // compacted tombstones (staging), so this stays proportional to the live population
-  // under schedule/cancel churn — the old engine's tombstones grew without limit. The
-  // churn regression tests pin the bound.
+  // recycles its slot and its heap entry immediately, so this stays proportional to
+  // the live population under schedule/cancel churn. The churn regression tests pin
+  // the bound.
   size_t arena_slots() const { return slots_.size(); }
   uint64_t executed_events() const { return executed_; }
 
@@ -121,8 +85,6 @@ class FLEXPIPE_THREAD_HOSTILE Simulation {
   friend class SimulationAuditor;
 
   static constexpr uint32_t kNil = 0xffffffffu;
-
-  enum class Where : uint8_t { kFree, kHeap, kStaged, kFresh };
 
   // Queue entries are 16 bytes so sift paths touch half the cache lines a naive
   // {when, seq, slot} triple would: `key` packs the FIFO tie-breaker sequence number
@@ -142,15 +104,10 @@ class FLEXPIPE_THREAD_HOSTILE Simulation {
   struct Slot {
     std::function<void()> fn;
     uint32_t generation = 1;
-    uint32_t pos = kNil;  // index into the container named by `where`
+    // Index of the slot's heap entry; kNil exactly when the slot holds no pending event.
+    uint32_t pos = kNil;
     uint32_t next_free = kNil;
-    Where where = Where::kFree;
   };
-
-  // A canceled staging entry: slot bits all-ones (the slab is capped below kSlotMask).
-  static bool IsTombstone(const HeapEntry& e) {
-    return (static_cast<uint32_t>(e.key) & kSlotMask) == kSlotMask;
-  }
 
   static bool EarlierThan(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) {
@@ -174,34 +131,11 @@ class FLEXPIPE_THREAD_HOSTILE Simulation {
   void PopRoot();
   void RemoveHeapEntry(size_t index);
 
-  size_t StagedLive() const { return staged_.size() - staged_head_ - staged_dead_; }
-  // Drops canceled (tombstoned) entries from the staging array in one pass.
-  void CompactStaged();
-  // Merges `fresh_` into `staged_` (sorted) and moves the next batch into the heap,
-  // advancing `staging_threshold_`.
-  void Refill();
-  // Guarantees the next event to fire is at the heap top: refills while the staging
-  // area could still hold an earlier (or same-time, earlier-seq) event.
-  void EnsureNext();
-
-  // Pops the earliest heap entry and runs it; false when the heap is empty.
-  bool PopAndRun();
-
-  Config config_;
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
   bool stopped_ = false;
   uint64_t executed_ = 0;
   std::vector<HeapEntry> heap_;
-  // Staging area: `staged_` is sorted by (when, seq) and consumed from `staged_head_`;
-  // newly scheduled far events collect unsorted in `fresh_` until the next refill.
-  // Invariant: no staged/fresh entry is earlier than `staging_threshold_`, and a refill
-  // happens before any heap entry at or past the threshold fires.
-  std::vector<HeapEntry> staged_;
-  size_t staged_head_ = 0;
-  size_t staged_dead_ = 0;  // tombstoned (canceled) entries past staged_head_
-  std::vector<HeapEntry> fresh_;
-  TimeNs staging_threshold_ = 0;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNil;
 };

@@ -32,7 +32,7 @@ TEST(ArenaAudit, CleanUnderScheduleCancelChurn) {
   for (int i = 0; i < 200; ++i) {
     ids.push_back(sim.Schedule(static_cast<TimeNs>(i) * kMillisecond, [] {}));
   }
-  // Far-future events exercise the staging tier; cancels leave tombstones there.
+  // Far-future events outlive the first drain below; cancels hit near and far entries.
   for (int i = 0; i < 64; ++i) {
     ids.push_back(sim.Schedule(10 * kSecond + static_cast<TimeNs>(i) * kSecond, [] {}));
   }
@@ -41,7 +41,7 @@ TEST(ArenaAudit, CleanUnderScheduleCancelChurn) {
   }
   EXPECT_TRUE(SimulationAuditor::AuditArena(sim).empty());
 
-  sim.RunUntil(15 * kSecond);  // partially drained: heap + staged + free slots coexist
+  sim.RunUntil(15 * kSecond);  // partially drained: live heap entries and free slots coexist
   EXPECT_TRUE(SimulationAuditor::AuditArena(sim).empty());
 
   sim.RunUntilIdle();

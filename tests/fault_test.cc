@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "src/cluster/topology.h"
@@ -553,19 +554,22 @@ TEST(FaultStormTest, GpuLossDuringRefactorCutoverRequeuesLimboExactlyOnce) {
   ExperimentEnv env(SmallEnvConfig());
   FlexPipeConfig config = SmallFlexPipeConfig();
   config.control_interval = 250 * kMillisecond;
-  // A reserve fleet of 17 four-stage instances fills most of the cluster, so the merge
-  // wave at 45 s finds room for a single two-stage target and all 17 sessions share it:
-  // killing one source must chase the abort through that target to every sibling.
-  config.target_peak_rps = 10000.0;
+  // A reserve fleet of three two-stage instances, and a queue-pressure threshold low
+  // enough that the burst splits them: their six stage slots map onto one 16-stage
+  // target, so all three sessions share it and killing one source must chase the
+  // abort through that target to every sibling.
+  config.initial_stages = 2;
+  config.target_peak_rps = 1000.0;
+  config.scaling.q_max = 32;
   FlexPipeSystem system(env.Context(), &env.ladder(0), config);
   Simulation& sim = env.sim();
   Router& router = system.router();
 
-  // A calm phase, then a burst: the merge wave runs while requests are mid-decode.
+  // A calm phase, then a burst: the split wave runs while requests are mid-decode.
   WorkloadGenerator gen;
   Rng rng(5);
   std::vector<RequestSpec> stable = gen.GenerateWithCv(rng, 4.0, 0.5, 40 * kSecond);
-  std::vector<RequestSpec> bursty = gen.GenerateWithCv(rng, 8.0, 6.0, 60 * kSecond);
+  std::vector<RequestSpec> bursty = gen.GenerateWithCv(rng, 40.0, 6.0, 60 * kSecond);
   for (RequestSpec& spec : bursty) {
     spec.arrival += 40 * kSecond;
   }
@@ -673,6 +677,72 @@ TEST(FaultStormTest, GpuLossDuringRefactorCutoverRequeuesLimboExactlyOnce) {
     }
   }
   EXPECT_EQ(LeakedRecoveryMasks(system, specs), 0);
+  EXPECT_TRUE(SimulationAuditor::AuditAll(sim, env.cluster(), {&system}).empty());
+}
+
+TEST(RefactorWaveTest, PartialPlacementKeepsPlannedFanIn) {
+  // A reserve fleet of 17 four-stage instances fills most of the cluster, so the merge
+  // wave at 45 s plans 34 two-stage targets but finds room for one. A merge plans one
+  // source per target, so however few targets launch, no more sources may migrate than
+  // targets launched; the surplus sources keep serving at four stages instead of all 17
+  // (68 stage slots) collapsing onto the one two-stage target.
+  ExperimentEnv env(SmallEnvConfig());
+  FlexPipeConfig config = SmallFlexPipeConfig();
+  config.control_interval = 250 * kMillisecond;
+  config.target_peak_rps = 10000.0;
+  FlexPipeSystem system(env.Context(), &env.ladder(0), config);
+  Simulation& sim = env.sim();
+
+  WorkloadGenerator gen;
+  Rng rng(5);
+  std::vector<RequestSpec> stable = gen.GenerateWithCv(rng, 4.0, 0.5, 40 * kSecond);
+  std::vector<RequestSpec> bursty = gen.GenerateWithCv(rng, 8.0, 6.0, 60 * kSecond);
+  for (RequestSpec& spec : bursty) {
+    spec.arrival += 40 * kSecond;
+  }
+  std::vector<RequestSpec> specs = MergeWorkloads({stable, bursty});
+  std::deque<Request> requests;
+  system.Start();
+  for (const RequestSpec& spec : specs) {
+    Request& r = requests.emplace_back();
+    r.spec = spec;
+    sim.ScheduleAt(spec.arrival, [&system, &r] { system.OnArrival(&r); });
+  }
+
+  // While the controller holds two stages, every finished session is a merge onto a
+  // two-stage instance.
+  std::set<int> two_stage;  // every two-stage instance seen: targets and scale-ups
+  int64_t worst_fold = 0;   // finished sessions beyond one per two-stage instance
+  int left_serving = -1;    // four-stage instances active when the controller moves on
+  bool merging = false;
+  PeriodicTask watch(&sim, kMillisecond, [&] {
+    if (system.current_stages() == 2) {
+      merging = true;
+      for (const PipelineInstance* inst : system.router().instances()) {
+        if (inst->num_stages() == 2) {
+          two_stage.insert(inst->id());
+        }
+      }
+      int64_t targets = static_cast<int64_t>(two_stage.size());
+      worst_fold = std::max(worst_fold, system.refactor_count() - targets);
+    } else if (merging && left_serving < 0) {
+      left_serving = 0;
+      for (const PipelineInstance* inst : system.router().instances()) {
+        if (inst->num_stages() == 4 && inst->state() == InstanceState::kActive) {
+          ++left_serving;
+        }
+      }
+    }
+  });
+  sim.RunUntil(specs.back().arrival + 60 * kSecond);
+  watch.Cancel();
+  system.Finish();
+  sim.RunUntilIdle();
+
+  ASSERT_TRUE(merging) << "the controller never chose two stages";
+  EXPECT_GT(system.refactor_count(), 0);
+  EXPECT_EQ(worst_fold, 0) << "a merge wave folded several sources onto one target";
+  EXPECT_GT(left_serving, 0) << "no source was left serving at its old granularity";
   EXPECT_TRUE(SimulationAuditor::AuditAll(sim, env.cluster(), {&system}).empty());
 }
 
@@ -1067,4 +1137,5 @@ TEST(FaultStormTest, BrownoutOffShedsNothing) {
 }
 
 }  // namespace
+
 }  // namespace flexpipe

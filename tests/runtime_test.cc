@@ -33,15 +33,6 @@ TEST(KvValidityMask, MarkAndCount) {
   EXPECT_EQ(mask.invalid_in(0, 30), 10);
 }
 
-TEST(KvValidityMask, GrowAddsInvalidTokens) {
-  KvValidityMask mask(10);
-  mask.MarkValid(0, 10);
-  mask.Grow(20);
-  EXPECT_EQ(mask.capacity(), 20);
-  EXPECT_EQ(mask.valid_count(), 10);
-  EXPECT_FALSE(mask.IsValid(15));
-}
-
 TEST(KvValidityMask, IdempotentMarks) {
   KvValidityMask mask(64);
   mask.MarkValid(0, 64);

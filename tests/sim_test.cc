@@ -147,15 +147,11 @@ TEST(Simulation, ScheduleCancelChurnStaysBounded) {
 }
 
 TEST(Simulation, FarFutureChurnStaysBounded) {
-  // Same bound for events in the staging tier (beyond the near window). A small refill
-  // batch keeps most of the far backlog staged while the clock runs into it, so refills
-  // keep merging fresh events into the sorted backlog, cancels tombstone staged
-  // entries, and compaction must keep physical state proportional to the live
-  // population without breaking any slot's backlink.
-  Simulation::Config config;
-  config.refill_batch = 16;
-  config.merge_threshold = 8;
-  Simulation sim(config);
+  // Same bound for a far-future backlog the clock keeps running into: each round
+  // schedules 100 events 2-7 s out, cancels every other pending one (the oldest as well
+  // as the newest) and advances a second. Physical state must stay proportional to the
+  // live population without breaking any slot's heap backlink.
+  Simulation sim;
   enum : char { kPending, kCanceled, kFired };
   std::vector<char> state;  // per scheduled event
   std::vector<EventId> ids;
@@ -186,46 +182,9 @@ TEST(Simulation, FarFutureChurnStaysBounded) {
   EXPECT_EQ(std::count(state.begin(), state.end(), kPending), 0);
 }
 
-TEST(Simulation, CancelOfStagedEventPreventsExecutionAndOrderHolds) {
-  // A one-event refill batch keeps the far backlog staged: the first refills move only
-  // the 1 h event and d0 to the heap, so d1..d4 are canceled as staged entries
-  // (tombstones). The third staged cancel leaves more tombstones than live entries and
-  // compacts the backlog, which moves d4 and the 2 h + 5 event to new positions.
-  Simulation::Config config;
-  config.refill_batch = 1;
-  Simulation sim(config);
-  std::vector<int> fired;
-  sim.Schedule(10, [&] { fired.push_back(0); });
-  sim.Schedule(kHour, [&] { fired.push_back(1); });
-  std::vector<EventId> doomed;  // d0..d4
-  for (int i = 0; i < 5; ++i) {
-    doomed.push_back(sim.Schedule(2 * kHour + i, [&] { fired.push_back(-1); }));
-  }
-  sim.Schedule(2 * kHour + 5, [&] { fired.push_back(2); });
-  sim.RunUntil(kMinute);
-  ASSERT_EQ(sim.heap_events(), 2u);    // the 1 h event and d0
-  ASSERT_EQ(sim.staged_events(), 5u);  // d1..d4 and the 2 h + 5 event
-  EXPECT_TRUE(sim.Cancel(doomed[0]));
-  EXPECT_EQ(sim.heap_events(), 1u);
-  for (int i = 1; i < 5; ++i) {
-    // Nothing was scheduled since the refill, so every non-heap event is staged.
-    EXPECT_TRUE(sim.Cancel(doomed[static_cast<size_t>(i)]));
-    EXPECT_EQ(sim.heap_events(), 1u);
-    EXPECT_EQ(sim.staged_events(), static_cast<size_t>(5 - i));
-    AuditReport audit = SimulationAuditor::AuditArena(sim);
-    EXPECT_TRUE(audit.empty()) << "after canceling d" << i << ": " << audit.front();
-  }
-  for (EventId id : doomed) {
-    EXPECT_FALSE(sim.Cancel(id));
-  }
-  sim.RunUntilIdle();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
 // Reference engine mirroring the pre-arena implementation: a (time, seq) ordered map.
-// The arena engine's two-tier queue, slot recycling and packed entries must be
-// invisible next to it.
+// The arena engine's slot recycling and packed heap entries must be invisible next
+// to it.
 class ReferenceEngine {
  public:
   uint64_t Schedule(TimeNs when, std::function<void()> fn) {
@@ -251,8 +210,8 @@ class ReferenceEngine {
 };
 
 TEST(Simulation, RandomizedScheduleCancelMatchesReferenceEngine) {
-  // Randomized cross-check of the full firing sequence: near events, far (staged)
-  // events, cancels of both, and callbacks that schedule more work.
+  // Randomized cross-check of the full firing sequence: events up to hours out,
+  // cancels, and callbacks that schedule more work.
   std::mt19937_64 rng(987654321);
   for (int trial = 0; trial < 25; ++trial) {
     Simulation sim;
@@ -317,67 +276,6 @@ TEST(Simulation, RandomizedScheduleCancelMatchesReferenceEngine) {
     ref.Drain(&ref_now);
     ASSERT_EQ(sim_fired, ref_fired) << "trial " << trial;
   }
-}
-
-TEST(Simulation, ShrunkNearWindowKeepsDenseNearScheduleOffHotHeap) {
-  // ROADMAP follow-up from the arena PR: workloads that schedule dense traffic just
-  // past the default 1 s near window used to pin it all on the hot heap. With an
-  // injectable config, a shrunk near window parks that schedule in the staging tier.
-  Simulation::Config config;
-  config.near_window = 100 * kMillisecond;
-  Simulation sim(config);
-  EXPECT_EQ(sim.config().near_window, 100 * kMillisecond);
-
-  // Dense burst straddling one second out: the half just inside 1 s would ride the
-  // hot heap under the default window; everything is past the shrunk one.
-  auto dense_schedule = [](Simulation& target, std::function<void()> fn) {
-    for (int i = 0; i < 2048; ++i) {
-      target.ScheduleAt(kSecond - kMillisecond + i, fn);  // just inside 1 s
-      target.ScheduleAt(kSecond + kMillisecond + i, fn);  // just past 1 s
-    }
-  };
-  int fired = 0;
-  dense_schedule(sim, [&] { ++fired; });
-  EXPECT_EQ(sim.heap_events(), 0u) << "dense ~1s-out schedule landed on the hot heap";
-  EXPECT_EQ(sim.staged_events(), 4096u);
-
-  // Default config (1 s near window): the half inside the window goes straight to the
-  // heap; only the just-past-1s half is staged.
-  Simulation default_sim;
-  dense_schedule(default_sim, [] {});
-  EXPECT_EQ(default_sim.heap_events(), 2048u);
-  EXPECT_EQ(default_sim.staged_events(), 2048u);
-
-  // The tiering stays invisible: everything fires, in order, exactly once.
-  sim.RunUntilIdle();
-  EXPECT_EQ(fired, 4096);
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(Simulation, StagingConfigDoesNotChangeFiringOrder) {
-  // Any staging tuning must be semantically invisible: the firing sequence is decided
-  // purely by (time, scheduling order).
-  std::vector<Simulation::Config> configs(3);
-  configs[1].near_window = 0;
-  configs[1].refill_batch = 1;
-  configs[1].merge_threshold = 1;
-  configs[2].near_window = 30 * kSecond;
-  configs[2].refill_batch = 7;
-  configs[2].merge_threshold = 4;
-
-  std::vector<std::vector<std::pair<TimeNs, int>>> fired(configs.size());
-  for (size_t c = 0; c < configs.size(); ++c) {
-    Simulation sim(configs[c]);
-    uint64_t lcg = 12345;
-    for (int i = 0; i < 2000; ++i) {
-      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-      TimeNs when = static_cast<TimeNs>((lcg >> 33) % (20 * kSecond));
-      sim.ScheduleAt(when, [&fired, c, i, &sim] { fired[c].push_back({sim.now(), i}); });
-    }
-    sim.RunUntilIdle();
-  }
-  EXPECT_EQ(fired[0], fired[1]);
-  EXPECT_EQ(fired[0], fired[2]);
 }
 
 TEST(PeriodicTask, FiresAtIntervalUntilCanceled) {
